@@ -24,6 +24,13 @@
 //! bit-identical, serve every measure from the cache, and beat the
 //! cold run by the ≥5× floor recorded in `BENCH_eval.json`.
 //!
+//! It also times the post-hoc nets of the model-based measures (DS,
+//! PS and C-FID at 48x24x28) with the compiled plan off and on, asserts
+//! both modes score the same bits, and gates the plan figure against
+//! the recorded pre-plan eval timings (a fresh interpreted tape per
+//! epoch) by the ≥1.5× floor, scaled by the same machine canary as the
+//! train-step probes (`posthoc_plan_vs_tape` in `BENCH_eval.json`).
+//!
 //! ```text
 //! cargo run -p tsgb-bench --release --bin perf_baseline
 //! cargo run -p tsgb-bench --release --features alloc-count --bin perf_baseline
@@ -59,6 +66,15 @@ const PRE_LSTM_TRAIN_STEP_MS: f64 = 11.7974;
 const PRE_PLAN_GRU_TRAIN_STEP_MS: f64 = 2.436265;
 const PRE_PLAN_LSTM_TRAIN_STEP_MS: f64 = 3.711341;
 const PLAN_SPEEDUP_FLOOR: f64 = 1.5;
+
+/// Recorded pre-plan post-hoc fit timings (ms, best of two best-of-15
+/// runs on the reference machine) of DS, PS (next-step) and C-FID at
+/// 48x24x28 with `EvalConfig::fast()` settings, as the eval code ran
+/// them before its training loops moved onto
+/// [`tsgb_methods::common::PhasePlan`]: a fresh interpreted tape per
+/// epoch. The plan run must beat their sum by [`POSTHOC_SPEEDUP_FLOOR`].
+const PRE_PLAN_POSTHOC_MS: [f64; 3] = [67.357, 51.927, 124.656];
+const POSTHOC_SPEEDUP_FLOOR: f64 = 1.5;
 
 /// Recorded band-kernel timing (ms) for the `matmul_256` triple
 /// (matmul + t_matmul + matmul_t at 256², serial, best-of-3 on the
@@ -351,6 +367,101 @@ fn eval_cache_probe(x: &Tensor3, y: &Tensor3) -> EvalCacheProbe {
         misses: stats.misses,
         bytes: stats.bytes,
     }
+}
+
+/// DS, PS and C-FID timed at 48x24x28, plan off vs on, per measure
+/// (`[ds, ps, c-fid]`), each the best of its interleaved repeats.
+struct PosthocProbe {
+    plan_ms: [f64; 3],
+    tape_ms: [f64; 3],
+}
+
+impl PosthocProbe {
+    fn plan_total(&self) -> f64 {
+        self.plan_ms.iter().sum()
+    }
+    fn tape_total(&self) -> f64 {
+        self.tape_ms.iter().sum()
+    }
+    /// Speedup over the recorded pre-plan reference — the ≥1.5×
+    /// acceptance figure (before machine scaling).
+    fn speedup(&self) -> f64 {
+        PRE_PLAN_POSTHOC_MS.iter().sum::<f64>() / self.plan_total().max(1e-9)
+    }
+}
+
+/// Per-feature sines in `[0.1, 0.9]` (amplitude squashed by `damp`).
+fn feature_sines(shape: (usize, usize, usize), seed: u64, damp: f64) -> Tensor3 {
+    let (r, l, n) = shape;
+    let mut rng = seeded(seed);
+    let phases: Vec<f64> = (0..r * n)
+        .map(|_| rng.gen::<f64>() * std::f64::consts::TAU)
+        .collect();
+    Tensor3::from_fn(r, l, n, |s, t, f| {
+        let freq = 0.3 + 0.1 * f as f64;
+        0.5 + 0.4 * damp * (freq * t as f64 + phases[s * n + f]).sin()
+    })
+}
+
+/// The post-hoc nets of DS, PS and C-FID at the 48x24x28 shape of an
+/// Energy-sized reference, each fit with the compiled plan off and on
+/// (interleaved, best of 3 per round). Both modes must score the same
+/// bits. `scale` is [`machine_scale`]: a round that misses the floor
+/// against the scaled recorded reference is retried up to three times,
+/// keeping the best times, as the train-step probes do.
+fn posthoc_probe(scale: f64) -> PosthocProbe {
+    use tsgb_eval::model_based::{
+        contextual_fid, discriminative_score, predictive_score, PsVariant,
+    };
+    let cfg = EvalConfig::fast();
+    let real = feature_sines((48, 24, 28), 1, 1.0);
+    let generated = feature_sines((48, 24, 28), 2, 0.7);
+    let fit = |measure: usize| -> f64 {
+        let mut rng = seeded(4242);
+        match measure {
+            0 => discriminative_score(&real, &generated, &cfg.post_hoc, &mut rng),
+            1 => predictive_score(
+                &real,
+                &generated,
+                PsVariant::NextStep,
+                &cfg.post_hoc,
+                &mut rng,
+            ),
+            _ => contextual_fid(&real, &generated, cfg.embed_dim, cfg.embed_epochs, &mut rng),
+        }
+    };
+    let mut probe = PosthocProbe {
+        plan_ms: [f64::INFINITY; 3],
+        tape_ms: [f64::INFINITY; 3],
+    };
+    let reference: Vec<u64> = (0..3)
+        .map(|m| tsgb_nn::with_plan_mode(false, || fit(m)).to_bits())
+        .collect();
+    let floor_ms = PRE_PLAN_POSTHOC_MS.iter().sum::<f64>() * scale / POSTHOC_SPEEDUP_FLOOR;
+    for round in 0..4 {
+        if round > 0 && probe.plan_total() <= floor_ms {
+            break;
+        }
+        for m in 0..3 {
+            for plan in [false, true] {
+                let ms = best_of(3, || {
+                    let v = tsgb_nn::with_plan_mode(plan, || fit(m));
+                    assert_eq!(
+                        v.to_bits(),
+                        reference[m],
+                        "posthoc_plan_vs_tape: measure {m} scores differ between plan on and off"
+                    );
+                });
+                let slot = if plan {
+                    &mut probe.plan_ms
+                } else {
+                    &mut probe.tape_ms
+                };
+                slot[m] = slot[m].min(ms);
+            }
+        }
+    }
+    probe
 }
 
 fn sines(r: usize, seed: u64) -> Tensor3 {
@@ -737,28 +848,6 @@ fn main() {
     std::fs::write("BENCH_baseline.json", &json).expect("write BENCH_baseline.json");
     println!("wrote BENCH_baseline.json");
 
-    for k in &kernels {
-        assert!(
-            k.speedup() >= k.floor,
-            "{}: speedup {:.2}x below the {:.1}x floor",
-            k.name,
-            k.speedup(),
-            k.floor
-        );
-    }
-
-    // Guard against the small-matrix parallel regression: at size 64
-    // the pool must not be slower than plain serial execution.
-    let m64 = probes
-        .iter()
-        .find(|p| p.name == "matmul_64")
-        .expect("matmul_64 probe present");
-    assert!(
-        m64.speedup() >= 0.95,
-        "matmul_64 parallel regression: speedup {:.2}x < 0.95x",
-        m64.speedup()
-    );
-
     // Incremental eval engine: cold suite vs warm re-evaluation
     // through the content-addressed cache (same x/y sines workload).
     let ec = eval_cache_probe(&x, &y);
@@ -773,15 +862,47 @@ fn main() {
         ec.misses,
         ec.bytes / 1024
     );
+    // Post-hoc nets of the model-based measures: plan off vs on, gated
+    // against the recorded pre-plan reference on the machine canary.
+    let scale = machine_scale();
+    if scale > 1.02 {
+        println!("machine scale vs BENCH recording: {scale:.2}x slower (band matmul_256 canary)");
+    }
+    let ph = posthoc_probe(scale);
+    println!(
+        "{:>24}: plan {:8.3} ms  tape {:8.3} ms  pre-plan {:8.3} ms  speedup {:.2}x (normalized {:.2}x, floor {:.1}x)  vs live tape {:.2}x",
+        "posthoc_plan_vs_tape",
+        ph.plan_total(),
+        ph.tape_total(),
+        PRE_PLAN_POSTHOC_MS.iter().sum::<f64>(),
+        ph.speedup(),
+        ph.speedup() * scale,
+        POSTHOC_SPEEDUP_FLOOR,
+        ph.tape_total() / ph.plan_total().max(1e-9)
+    );
     let eval_json = format!(
-        "{{\n  \"workload\": \"EvalConfig::fast() suite, 80x16x2 sines, warm best-of-5\",\n  \"bit_identical\": true,\n  \"probes\": [\n    {{\"name\": \"eval_cache_warm_vs_cold\", \"cold_ms\": {:.6}, \"warm_ms\": {:.6}, \"speedup\": {:.4}, \"floor\": {:.1}, \"hits\": {}, \"misses\": {}, \"bytes\": {}}}\n  ]\n}}\n",
+        "{{\n  \"workload\": \"EvalConfig::fast() suite, 80x16x2 sines, warm best-of-5\",\n  \"bit_identical\": true,\n  \"probes\": [\n    {{\"name\": \"eval_cache_warm_vs_cold\", \"cold_ms\": {:.6}, \"warm_ms\": {:.6}, \"speedup\": {:.4}, \"floor\": {:.1}, \"hits\": {}, \"misses\": {}, \"bytes\": {}}},\n    {{\"name\": \"posthoc_plan_vs_tape\", \"workload\": \"DS + PS + C-FID fits, EvalConfig::fast(), 48x24x28 sines, best-of-3\", \"plan_ms\": {:.6}, \"tape_ms\": {:.6}, \"pre_plan_ms\": {:.6}, \"plan_ms_ds_ps_cfid\": [{:.6}, {:.6}, {:.6}], \"tape_ms_ds_ps_cfid\": [{:.6}, {:.6}, {:.6}], \"speedup\": {:.4}, \"normalized_speedup\": {:.4}, \"machine_scale\": {:.4}, \"floor\": {:.1}, \"speedup_vs_live_tape\": {:.4}}}\n  ]\n}}\n",
         ec.cold_ms,
         ec.warm_ms,
         ec.speedup(),
         EVAL_CACHE_SPEEDUP_FLOOR,
         ec.hits,
         ec.misses,
-        ec.bytes
+        ec.bytes,
+        ph.plan_total(),
+        ph.tape_total(),
+        PRE_PLAN_POSTHOC_MS.iter().sum::<f64>(),
+        ph.plan_ms[0],
+        ph.plan_ms[1],
+        ph.plan_ms[2],
+        ph.tape_ms[0],
+        ph.tape_ms[1],
+        ph.tape_ms[2],
+        ph.speedup(),
+        ph.speedup() * scale,
+        scale,
+        POSTHOC_SPEEDUP_FLOOR,
+        ph.tape_total() / ph.plan_total().max(1e-9)
     );
     std::fs::write("BENCH_eval.json", &eval_json).expect("write BENCH_eval.json");
     println!("wrote BENCH_eval.json");
@@ -793,11 +914,17 @@ fn main() {
         ec.cold_ms,
         ec.warm_ms
     );
+    assert!(
+        ph.speedup() * scale >= POSTHOC_SPEEDUP_FLOOR,
+        "posthoc_plan_vs_tape: speedup {:.2}x (normalized {:.2}x) below the {:.1}x floor (plan {:.3} ms vs recorded {:.3} ms, machine scale {:.2}x)",
+        ph.speedup(),
+        ph.speedup() * scale,
+        POSTHOC_SPEEDUP_FLOOR,
+        ph.plan_total(),
+        PRE_PLAN_POSTHOC_MS.iter().sum::<f64>(),
+        scale
+    );
 
-    let scale = machine_scale();
-    if scale > 1.02 {
-        println!("machine scale vs BENCH recording: {scale:.2}x slower (band matmul_256 canary)");
-    }
     let trains = train_probes(scale);
 
     // A build without `alloc-count` must not clobber allocation figures
@@ -919,4 +1046,30 @@ fn main() {
             );
         }
     }
+
+    // The kernel floors are checked last, like every other gate after
+    // its ledger file is written: a kernel that misses its floor fails
+    // the run without keeping the eval and train probes from being
+    // measured and recorded.
+    for k in &kernels {
+        assert!(
+            k.speedup() >= k.floor,
+            "{}: speedup {:.2}x below the {:.1}x floor",
+            k.name,
+            k.speedup(),
+            k.floor
+        );
+    }
+
+    // Guard against the small-matrix parallel regression: at size 64
+    // the pool must not be slower than plain serial execution.
+    let m64 = probes
+        .iter()
+        .find(|p| p.name == "matmul_64")
+        .expect("matmul_64 probe present");
+    assert!(
+        m64.speedup() >= 0.95,
+        "matmul_64 parallel regression: speedup {:.2}x < 0.95x",
+        m64.speedup()
+    );
 }

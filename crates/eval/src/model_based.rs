@@ -19,14 +19,48 @@ use tsgb_rand::rngs::SmallRng;
 use tsgb_rand::Rng;
 use tsgb_linalg::eigen::{row_covariance, sqrtm_psd, sym_eigen};
 use tsgb_linalg::{Matrix, Tensor3};
-use tsgb_methods::common::{gather_step_matrices, minibatch};
+use tsgb_methods::common::{gather_step_matrices, minibatch, vstack, PhasePlan};
 use tsgb_nn::layers::{GruCell, Linear};
 use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
-use tsgb_nn::params::Params;
+use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
 
 use crate::ts2vec::Ts2Vec;
+
+/// Records one constant leaf per timestep of the `idx` windows of
+/// `data` — the per-step inputs of a post-hoc GRU.
+pub(crate) fn constant_steps(t: &mut Tape, data: &Tensor3, idx: &[usize]) -> Vec<VarId> {
+    gather_step_matrices(data, idx)
+        .iter()
+        .map(|m| t.constant_copy(m))
+        .collect()
+}
+
+/// Trains a post-hoc net for `epochs` minibatch steps: `step` records
+/// one step's graph against the bound parameters and returns its loss;
+/// this runs the backward pass, clips the gradient norm at 5 and takes
+/// an Adam step (lr 2e-3). Every step goes through one [`PhasePlan`],
+/// so from the second step on it replays a compiled plan. The tape is
+/// released on return, before the caller's test or embed pass.
+pub(crate) fn train_post_hoc(
+    params: &mut Params,
+    epochs: usize,
+    rng: &mut SmallRng,
+    mut step: impl FnMut(&mut Tape, &Binding, &mut SmallRng) -> VarId,
+) {
+    let mut opt = Adam::new(2e-3);
+    let mut tape = PhasePlan::default();
+    for _ in 0..epochs {
+        let t = tape.begin();
+        let b = params.bind(t);
+        let l = step(t, &b, rng);
+        t.backward(l);
+        params.absorb_grads(t, &b);
+        params.clip_grad_norm(5.0);
+        opt.step(params);
+    }
+}
 
 /// Capacity/schedule of the post-hoc models.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,36 +96,26 @@ pub fn discriminative_score(
     let mut params = Params::new();
     let cell = GruCell::new(&mut params, "ds.gru", real.features(), cfg.hidden, rng);
     let head = Linear::new(&mut params, "ds.head", cfg.hidden, 1, rng);
-    let mut opt = Adam::new(2e-3);
 
     let run_logits = |params: &Params, t: &mut Tape, data: &Tensor3, idx: &[usize]| -> VarId {
         let b = params.bind(t);
-        let steps = gather_step_matrices(data, idx);
-        let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
+        let xs = constant_steps(t, data, idx);
         let hs = cell.run(t, &b, &xs, idx.len());
         head.forward(t, &b, *hs.last().expect("non-empty"))
     };
 
-    for _ in 0..cfg.epochs {
+    train_post_hoc(&mut params, cfg.epochs, rng, |t, b, rng| {
         let idx = minibatch(n_train, 32, rng);
-        let mut t = Tape::new();
-        let b = params.bind(&mut t);
         // real half
-        let real_steps = gather_step_matrices(real, &idx);
-        let xs_r: Vec<VarId> = real_steps.iter().map(|m| t.constant(m.clone())).collect();
-        let hr = cell.run(&mut t, &b, &xs_r, idx.len());
-        let lr = head.forward(&mut t, &b, *hr.last().unwrap());
+        let xs_r = constant_steps(t, real, &idx);
+        let hr = cell.run(t, b, &xs_r, idx.len());
+        let lr = head.forward(t, b, *hr.last().unwrap());
         // fake half
-        let fake_steps = gather_step_matrices(generated, &idx);
-        let xs_f: Vec<VarId> = fake_steps.iter().map(|m| t.constant(m.clone())).collect();
-        let hf = cell.run(&mut t, &b, &xs_f, idx.len());
-        let lf = head.forward(&mut t, &b, *hf.last().unwrap());
-        let l = loss::gan_discriminator_loss(&mut t, lr, lf);
-        t.backward(l);
-        params.absorb_grads(&t, &b);
-        params.clip_grad_norm(5.0);
-        opt.step(&mut params);
-    }
+        let xs_f = constant_steps(t, generated, &idx);
+        let hf = cell.run(t, b, &xs_f, idx.len());
+        let lf = head.forward(t, b, *hf.last().unwrap());
+        loss::gan_discriminator_loss(t, lr, lf)
+    });
 
     // test accuracy
     let test_idx: Vec<usize> = (n_train..n_pairs).collect();
@@ -145,65 +169,50 @@ pub fn predictive_score(
     let mut params = Params::new();
     let cell = GruCell::new(&mut params, "ps.gru", n, cfg.hidden, rng);
     let head = Linear::new(&mut params, "ps.head", cfg.hidden, n, rng);
-    let mut opt = Adam::new(2e-3);
     let split = l / 2;
 
     // forward over input steps, predicting target steps
-    let forward = |params: &Params,
-                   t: &mut Tape,
-                   data: &Tensor3,
-                   idx: &[usize]|
-     -> (VarId, Matrix, tsgb_nn::params::Binding) {
-        let b = params.bind(t);
+    let forward = |t: &mut Tape, b: &Binding, data: &Tensor3, idx: &[usize]| -> (VarId, Matrix) {
         let steps = gather_step_matrices(data, idx);
         let (inputs, targets): (&[Matrix], &[Matrix]) = match variant {
             PsVariant::NextStep => (&steps[..l - 1], &steps[1..]),
             PsVariant::Entire => (&steps[..split], &steps[split..]),
         };
-        let xs: Vec<VarId> = inputs.iter().map(|m| t.constant(m.clone())).collect();
-        let hs = cell.run(t, &b, &xs, idx.len());
+        let xs: Vec<VarId> = inputs.iter().map(|m| t.constant_copy(m)).collect();
+        let hs = cell.run(t, b, &xs, idx.len());
         // Linear output head: the benchmark datasets are [0, 1]-
         // normalized but the §6.3 robustness sine data is in [-1, 1],
         // so the forecaster must not be range-limited by a sigmoid.
         let preds: Vec<VarId> = match variant {
-            PsVariant::NextStep => hs.iter().map(|&h| head.forward(t, &b, h)).collect(),
+            PsVariant::NextStep => hs.iter().map(|&h| head.forward(t, b, h)).collect(),
             PsVariant::Entire => {
                 // roll out from the last encoder state autonomously:
                 // reuse the last hidden as a constant input seed
                 let mut h = *hs.last().expect("non-empty");
                 let mut preds = Vec::with_capacity(l - split);
                 for _ in 0..l - split {
-                    let y = head.forward(t, &b, h);
+                    let y = head.forward(t, b, h);
                     preds.push(y);
-                    h = cell.step(t, &b, y, h);
+                    h = cell.step(t, b, y, h);
                 }
                 preds
             }
         };
-        let pred_cat = t.concat_rows(&preds);
-        let target_cat = targets
-            .iter()
-            .skip(1)
-            .fold(targets[0].clone(), |a, m| a.vcat(m));
-        (pred_cat, target_cat, b)
+        (t.concat_rows(&preds), vstack(targets))
     };
 
     // train on synthetic
-    for _ in 0..cfg.epochs {
+    train_post_hoc(&mut params, cfg.epochs, rng, |t, b, rng| {
         let idx = minibatch(generated.samples(), 32, rng);
-        let mut t = Tape::new();
-        let (pred, target, b) = forward(&params, &mut t, generated, &idx);
-        let l_mae = loss::mae_mean(&mut t, pred, &target);
-        t.backward(l_mae);
-        params.absorb_grads(&t, &b);
-        params.clip_grad_norm(5.0);
-        opt.step(&mut params);
-    }
+        let (pred, target) = forward(t, b, generated, &idx);
+        loss::mae_mean(t, pred, &target)
+    });
 
     // test on real: MAE
     let idx: Vec<usize> = (0..real.samples()).collect();
     let mut t = Tape::new();
-    let (pred, target, _) = forward(&params, &mut t, real, &idx);
+    let b = params.bind(&mut t);
+    let (pred, target) = forward(&mut t, &b, real, &idx);
     let diff = t.value(pred) - &target;
     diff.as_slice().iter().map(|d| d.abs()).sum::<f64>() / diff.len() as f64
 }

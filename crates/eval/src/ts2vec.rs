@@ -11,19 +11,19 @@
 
 use tsgb_rand::rngs::SmallRng;
 use tsgb_linalg::{Matrix, Tensor3};
-use tsgb_methods::common::{gather_step_matrices, minibatch};
+use tsgb_methods::common::minibatch;
 use tsgb_nn::layers::{Activation, GruCell, Linear, Mlp};
 use tsgb_nn::loss;
-use tsgb_nn::optim::Adam;
 use tsgb_nn::params::Params;
-use tsgb_nn::tape::{Tape, VarId};
+use tsgb_nn::tape::Tape;
+
+use crate::model_based::{constant_steps, train_post_hoc};
 
 /// A trained window-embedding model.
 pub struct Ts2Vec {
     params: Params,
     cell: GruCell,
     proj: Linear,
-    decoder: Mlp,
     embed_dim: usize,
 }
 
@@ -43,45 +43,33 @@ impl Ts2Vec {
             Activation::Sigmoid,
             rng,
         );
-        let mut model = Ts2Vec {
+        let flat = data.flatten_samples();
+        train_post_hoc(&mut params, epochs, rng, |t, b, rng| {
+            let idx = minibatch(r, 32, rng);
+            let target = flat.select_rows(&idx);
+            let xs = constant_steps(t, data, &idx);
+            let hs = cell.run(t, b, &xs, idx.len());
+            let z_pre = proj.forward(t, b, *hs.last().expect("non-empty"));
+            let z = t.tanh(z_pre);
+            let rec = decoder.forward(t, b, z);
+            loss::mse_mean(t, rec, &target)
+        });
+        // the decoder only shapes training; embedding never runs it
+        Ts2Vec {
             params,
             cell,
             proj,
-            decoder,
             embed_dim,
-        };
-        let mut opt = Adam::new(2e-3);
-        let flat = data.flatten_samples();
-        for _ in 0..epochs {
-            let idx = minibatch(r, 32, rng);
-            let steps = gather_step_matrices(data, &idx);
-            let target = flat.select_rows(&idx);
-            let mut t = Tape::new();
-            let b = model.params.bind(&mut t);
-            let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
-            let hs = model.cell.run(&mut t, &b, &xs, idx.len());
-            let z_pre = model
-                .proj
-                .forward(&mut t, &b, *hs.last().expect("non-empty"));
-            let z = t.tanh(z_pre);
-            let rec = model.decoder.forward(&mut t, &b, z);
-            let l2 = loss::mse_mean(&mut t, rec, &target);
-            t.backward(l2);
-            model.params.absorb_grads(&t, &b);
-            model.params.clip_grad_norm(5.0);
-            opt.step(&mut model.params);
         }
-        model
     }
 
     /// Embeds every window into a `(samples, embed_dim)` matrix.
     pub fn embed(&self, data: &Tensor3) -> Matrix {
         let r = data.samples();
         let idx: Vec<usize> = (0..r).collect();
-        let steps = gather_step_matrices(data, &idx);
         let mut t = Tape::new();
         let b = self.params.bind(&mut t);
-        let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
+        let xs = constant_steps(&mut t, data, &idx);
         let hs = self.cell.run(&mut t, &b, &xs, r);
         let z_pre = self
             .proj

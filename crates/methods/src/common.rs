@@ -295,9 +295,18 @@ pub struct PhasePlan {
     plan: bool,
 }
 
-/// The pre-plan name of [`PhasePlan`], kept so older code and docs
-/// resolve; the behavior is identical.
-pub type PhaseTape = PhasePlan;
+impl Default for PhasePlan {
+    /// A recycled phase tape under the `TSGB_PLAN` gate (read once, at
+    /// construction) — for training loops outside a [`TrainConfig`],
+    /// such as the post-hoc nets of the model-based eval measures.
+    fn default() -> Self {
+        Self {
+            tape: Tape::new(),
+            fresh: false,
+            plan: tsgb_nn::plan_enabled(),
+        }
+    }
+}
 
 impl PhasePlan {
     /// A phase tape honoring the config's `fresh_tapes` knob and the

@@ -50,7 +50,6 @@
 
 use crate::tape::{FusedAct, LeafKind, Node, Op};
 use std::cell::Cell;
-use std::collections::HashMap;
 use tsgb_linalg::gemm::{matmul_prepacked_acc_into, pack_b_panels, pack_bt_panels, packed_b_len};
 use tsgb_linalg::{Matrix, MatrixPool};
 
@@ -175,13 +174,22 @@ impl FwdPlan {
 
 /// One compiled backward step for a reached node. `flags_at` indexes
 /// the step's per-edge first-touch flags; `scratch` indexes the plan's
-/// scratch pool (`u32::MAX` when the step needs none).
+/// shared scratch buffers (`u32::MAX` when the step needs none).
+/// `acquire[acq_at..acq_end]` lists the interior gradient slots the
+/// step touches first, each with the bank buffer it installs there;
+/// `release` is the bank buffer the node's own (now dead) gradient
+/// returns to once the step has run (`u32::MAX` for none).
 #[derive(Clone, Copy)]
 struct BwdStep {
     node: u32,
     flags_at: u32,
     scratch: u32,
+    acq_at: u32,
+    acq_end: u32,
+    release: u32,
 }
+
+const NONE: u32 = u32::MAX;
 
 /// A compiled backward sweep for one loss node, with preresolved
 /// first-touch flags and pre-taken scratch buffers.
@@ -193,12 +201,28 @@ struct BwdPlan {
     /// Pruned edges (into no-grad leaves) keep a placeholder slot so
     /// the positional indexing in [`run_step`] never shifts.
     flags: Vec<bool>,
-    /// Nodes the sweep reaches — exactly the slots the interpreter
-    /// would leave `Some`, minus pruned no-grad leaves.
-    reached: Vec<bool>,
-    /// One buffer per step that needs a temporary (non-first-touch
-    /// mapped deltas, fused-activation `dz`), shaped like that step's
-    /// incoming gradient.
+    /// Leaves the sweep reaches: the gradient slots that outlive the
+    /// sweep (parameter gradients for [`crate::Tape::grad_ref`]).
+    /// Interior gradients are dead once their own step has run and
+    /// live in [`Self::bank`] instead.
+    kept: Vec<bool>,
+    /// Gradient buffers of interior nodes, shared by liveness: a
+    /// buffer is installed into a node's slot at its first touch and
+    /// returns here right after the node's own step, ready for the next
+    /// node of the same shape. A reverse sweep over an unrolled RNN
+    /// keeps only a few timesteps' gradients live at once, so the bank
+    /// holds O(width) buffers where one-per-node would hold O(depth).
+    /// Every entry is `Some` between runs.
+    bank: Vec<Option<Matrix>>,
+    /// `(node, bank)` pairs, grouped per step by
+    /// [`BwdStep::acq_at`]/[`BwdStep::acq_end`].
+    acquire: Vec<(u32, u32)>,
+    /// Bank buffer of the loss node's seed gradient (`NONE` when the
+    /// loss is a leaf and so has a kept slot).
+    loss_bank: u32,
+    /// Temporaries for the steps that need one (non-first-touch mapped
+    /// deltas, fused-activation `dz`), one per distinct shape: a
+    /// step's temporary is dead once the step has run.
     scratch: Vec<Matrix>,
     /// Transposes of the nodes consumed as `matmul_t` right-hand
     /// sides (weights of `Affine`/`Affine2`, the RHS of `Matmul`),
@@ -219,15 +243,17 @@ struct BwdPlan {
     ptcache: PackCache,
 }
 
-/// Whether a node is a leaf whose gradient nobody can observe
-/// (constants, zeros padding, filled targets). The compiled backward
-/// plan prunes every edge into such leaves; the interpreter still
-/// computes them, and since pruning only removes *writes to those
-/// slots*, parameter gradients are bit-identical either way.
+/// Whether a node's gradient goes nowhere: leaves nobody can observe
+/// (constants, zeros padding, filled targets) and `detach` nodes, which
+/// stop the sweep. The compiled backward plan prunes every edge into
+/// such nodes; the interpreter still computes them, and since pruning
+/// only removes *writes to those slots*, parameter gradients are
+/// bit-identical either way.
 fn nograd(op: &Op) -> bool {
     matches!(
         op,
         Op::Leaf(LeafKind::Data { grad: false } | LeafKind::Zeros | LeafKind::Filled(_))
+            | Op::Detach(_)
     )
 }
 
@@ -259,10 +285,10 @@ fn fusable_producer(op: &Op) -> bool {
 }
 
 impl Replay {
-    /// Freezes the recorded node list into a forward plan and pre-sizes
-    /// `pool` from the plan's buffer manifest, so post-invalidation
-    /// re-records and backward compiles never miss.
-    pub(crate) fn capture(nodes: &[Node], pool: &mut MatrixPool) -> Replay {
+    /// Freezes the recorded node list into a forward plan. The pool is
+    /// not pre-sized: replay re-uses every node buffer in place, and the
+    /// first backward compile takes only the buffers its plan keeps.
+    pub(crate) fn capture(nodes: &[Node]) -> Replay {
         let n = nodes.len();
         let mut uses = vec![0u32; n];
         let mut count = |id: &crate::VarId| uses[id.0] += 1;
@@ -377,20 +403,6 @@ impl Replay {
                 .collect(),
         };
 
-        // Buffer-slot manifest -> pool pre-size. A warm re-record after
-        // an invalidation redraws every node value, and the first
-        // backward compile takes scratch buffers (all node-shaped); a
-        // small margin covers the interpreter's transient deltas.
-        let mut manifest: HashMap<usize, usize> = HashMap::new();
-        for node in nodes {
-            *manifest
-                .entry(node.value.rows() * node.value.cols())
-                .or_insert(0) += 1;
-        }
-        for (&elems, &count) in &manifest {
-            pool.reserve(elems, count + 2);
-        }
-
         Replay {
             cursor: 0,
             watermark: 0,
@@ -417,6 +429,7 @@ impl Replay {
             .flat_map(|b| {
                 b.scratch
                     .into_iter()
+                    .chain(b.bank.into_iter().flatten())
                     .chain(b.tcache.into_iter().map(|(_, m)| m))
             })
             .collect()
@@ -678,11 +691,44 @@ fn exec_fused(nodes: &mut [Node], src: usize, out: usize, pool: &mut MatrixPool,
 // Backward compilation + execution
 // ---------------------------------------------------------------------
 
+/// Compile-time allocator for [`BwdPlan::bank`]: exact-shape free
+/// lists over a growing set of buffers.
+#[derive(Default)]
+struct Bank {
+    shapes: Vec<(usize, usize)>,
+    free: Vec<((usize, usize), Vec<u32>)>,
+}
+
+impl Bank {
+    /// A free buffer of `shape`, or a new one.
+    fn take(&mut self, shape: (usize, usize)) -> u32 {
+        let reused = self
+            .free
+            .iter_mut()
+            .find(|(s, _)| *s == shape)
+            .and_then(|(_, ids)| ids.pop());
+        reused.unwrap_or_else(|| {
+            self.shapes.push(shape);
+            (self.shapes.len() - 1) as u32
+        })
+    }
+
+    /// Returns buffer `id` (of `shape`) to its free list.
+    fn give(&mut self, shape: (usize, usize), id: u32) {
+        match self.free.iter_mut().find(|(s, _)| *s == shape) {
+            Some((_, ids)) => ids.push(id),
+            None => self.free.push((shape, vec![id])),
+        }
+    }
+}
+
 impl BwdPlan {
     /// Simulates the interpreter's reverse sweep from `loss` over the
     /// frozen graph, recording which nodes are reached, the first-touch
-    /// flag of every edge (in interpreter visit order), and which steps
-    /// need a scratch buffer — then takes those buffers from the pool.
+    /// flag of every edge (in interpreter visit order), which steps
+    /// need a scratch buffer, and the live range of every interior
+    /// gradient — then takes the scratch and bank buffers from the
+    /// pool.
     ///
     /// The edge enumeration here and the arms of [`BwdPlan::run`] must
     /// stay in lockstep: both walk a step's edges in the same order,
@@ -690,9 +736,24 @@ impl BwdPlan {
     fn compile(nodes: &[Node], loss: usize, pool: &mut MatrixPool) -> BwdPlan {
         let mut has = vec![false; nodes.len()];
         has[loss] = true;
+        // Nodes without a backward step (leaves; a detached loss) keep
+        // their gradient slot past the sweep; every other node's
+        // gradient lives from its first touch to its own step.
+        let kept = |i: usize| matches!(nodes[i].op, Op::Leaf(_) | Op::Detach(_));
         let mut steps = Vec::new();
         let mut flags = Vec::new();
-        let mut scratch = Vec::new();
+        let mut scratch_shapes: Vec<(usize, usize)> = Vec::new();
+        let mut bank = Bank::default();
+        let mut acquire: Vec<(u32, u32)> = Vec::new();
+        // Bank buffer currently installed in each interior slot.
+        let mut slot = vec![NONE; nodes.len()];
+        let loss_bank = if kept(loss) {
+            NONE
+        } else {
+            bank.take(nodes[loss].value.shape())
+        };
+        slot[loss] = loss_bank;
+        let mut touched: Vec<usize> = Vec::new();
         // Node ids whose transpose the sweep wants cached (`matmul_t`
         // right-hand sides of live edges); deduped below. Profitable
         // shapes route to the prepacked panel cache instead.
@@ -738,6 +799,9 @@ impl BwdPlan {
                     let fresh = !has[t];
                     has[t] = true;
                     flags.push(fresh);
+                    if fresh {
+                        touched.push(t);
+                    }
                     if mapped && !fresh {
                         need_scratch = true;
                     }
@@ -824,18 +888,46 @@ impl BwdPlan {
                 }
             }
             let scratch_idx = if need_scratch {
-                let (r, c) = nodes[i].value.shape();
-                scratch.push(pool.take_uninit(r, c));
-                (scratch.len() - 1) as u32
+                let shape = nodes[i].value.shape();
+                let at = scratch_shapes.iter().position(|&s| s == shape);
+                at.unwrap_or_else(|| {
+                    scratch_shapes.push(shape);
+                    scratch_shapes.len() - 1
+                }) as u32
             } else {
-                u32::MAX
+                NONE
             };
+            let acq_at = acquire.len() as u32;
+            for t in touched.drain(..) {
+                if !kept(t) {
+                    slot[t] = bank.take(nodes[t].value.shape());
+                    acquire.push((t as u32, slot[t]));
+                }
+            }
+            // Node i's gradient is dead after its own step.
+            let release = slot[i];
+            if release != NONE {
+                bank.give(nodes[i].value.shape(), release);
+            }
             steps.push(BwdStep {
                 node: i as u32,
                 flags_at,
                 scratch: scratch_idx,
+                acq_at,
+                acq_end: acquire.len() as u32,
+                release,
             });
         }
+        let scratch = scratch_shapes
+            .into_iter()
+            .map(|(r, c)| pool.take_uninit(r, c))
+            .collect();
+        let bank = bank
+            .shapes
+            .into_iter()
+            .map(|(r, c)| Some(pool.take_uninit(r, c)))
+            .collect();
+        let kept = (0..nodes.len()).map(|i| has[i] && kept(i)).collect();
         tneed.sort_unstable();
         tneed.dedup();
         let tcache = tneed
@@ -862,7 +954,10 @@ impl BwdPlan {
             loss,
             steps,
             flags,
-            reached: has,
+            kept,
+            bank,
+            acquire,
+            loss_bank,
             scratch,
             tcache,
             ptcache,
@@ -883,13 +978,13 @@ impl BwdPlan {
         if grads.len() < n {
             grads.resize_with(n, || None);
         }
-        // Slot maintenance: exactly the interpreter's end state has
-        // `Some` on reached nodes and `None` elsewhere. Unreached
-        // leftovers (from a previous different loss) retire to the
-        // pool; reached slots get a buffer whose every element the
-        // sweep overwrites before reading.
+        // Slot maintenance: a sweep ends with `Some` on exactly the
+        // kept slots. Leftovers (a previous different loss's slots)
+        // retire to the pool; kept slots get a buffer whose every
+        // element the sweep overwrites before reading. A no-op in
+        // steady state.
         for (i, slot) in grads.iter_mut().enumerate() {
-            if self.reached.get(i).copied().unwrap_or(false) {
+            if self.kept.get(i).copied().unwrap_or(false) {
                 if slot.is_none() {
                     let (r, c) = nodes[i].value.shape();
                     *slot = Some(pool.take_uninit(r, c));
@@ -898,19 +993,25 @@ impl BwdPlan {
                 pool.put(g);
             }
         }
-        grads[self.loss]
-            .as_mut()
-            .expect("loss slot materialized above")
-            .fill(1.0);
-
         let BwdPlan {
+            loss,
             steps,
             flags,
+            bank,
+            acquire,
+            loss_bank,
             scratch,
             tcache,
             ptcache,
             ..
         } = self;
+        if *loss_bank != NONE {
+            std::mem::swap(&mut grads[*loss], &mut bank[*loss_bank as usize]);
+        }
+        grads[*loss]
+            .as_mut()
+            .expect("loss slot materialized above")
+            .fill(1.0);
         // Refresh the cached transposes and packed panels: values
         // (weights) change every step, the set of cached nodes never
         // does.
@@ -922,6 +1023,11 @@ impl BwdPlan {
         }
         for step in steps.iter() {
             let i = step.node as usize;
+            // First touches this step: install the bank buffers (the
+            // slots are empty, the bank entries full).
+            for &(t, k) in &acquire[step.acq_at as usize..step.acq_end as usize] {
+                std::mem::swap(&mut grads[t as usize], &mut bank[k as usize]);
+            }
             // Contributions to node i come only from consumers (larger
             // indices, already processed), so grads[i] is final here.
             let (lo, hi) = grads.split_at_mut(i);
@@ -929,6 +1035,9 @@ impl BwdPlan {
             let fa = step.flags_at as usize;
             let sbuf = scratch.get_mut(step.scratch as usize);
             run_step(nodes, lo, g, i, &flags[fa..], sbuf, tcache, ptcache, dead);
+            if step.release != NONE {
+                std::mem::swap(&mut grads[i], &mut bank[step.release as usize]);
+            }
         }
     }
 }

@@ -260,6 +260,12 @@ fn sig_match(rec: &mut Op, new: &Op) -> bool {
     }
 }
 
+/// Whether a node's gradient outlives a plan-mode backward sweep: only
+/// grad-tracking leaves (parameters, differentiated inputs) qualify.
+fn keeps_grad(op: &Op) -> bool {
+    matches!(op, Op::Leaf(LeafKind::Data { grad: true }))
+}
+
 pub(crate) struct Node {
     pub(crate) value: Matrix,
     pub(crate) op: Op,
@@ -296,6 +302,10 @@ pub struct Tape {
     /// Lifetime count of structural invalidations that fell back to
     /// re-recording (`nn.plan.invalidations`).
     invalidations: u64,
+    /// Whether the last step boundary was `begin_step(true)`: the tape
+    /// then keeps only the gradients a compiled plan keeps (see
+    /// [`Tape::backward`]), on recorded steps too.
+    lean_grads: bool,
 }
 
 impl Tape {
@@ -324,6 +334,7 @@ impl Tape {
     pub fn reset(&mut self) {
         self.observe_step();
         self.teardown_plan();
+        self.lean_grads = false;
         for node in self.nodes.drain(..) {
             self.pool.put(node.value);
         }
@@ -374,6 +385,7 @@ impl Tape {
     /// retired, recording resumes, and the next boundary re-captures.
     pub fn begin_step(&mut self, plan: bool) {
         self.observe_step();
+        self.lean_grads = plan;
         if !plan {
             // Plan disabled (`TSGB_PLAN=off` or fresh_tapes): plain
             // arena recycling.
@@ -407,8 +419,17 @@ impl Tape {
     /// Freezes the recorded step into a compiled plan and enters
     /// replay mode. Called from the step boundary following a fully
     /// recorded step.
+    ///
+    /// The recorded step's gradients and the buffers parked in the pool
+    /// (its retired gradients and temporaries) are freed here rather
+    /// than kept for the rest of the fit: replay reuses every node
+    /// buffer in place, and the backward compile allocates only what
+    /// the plan keeps (leaf gradient slots, the interior-gradient bank,
+    /// shared scratch).
     fn capture_plan(&mut self) {
-        let replay = crate::plan::Replay::capture(&self.nodes, &mut self.pool);
+        self.grads.clear();
+        self.pool.clear();
+        let replay = crate::plan::Replay::capture(&self.nodes);
         self.plan = PlanCtl::Replay(Box::new(replay));
         self.captures += 1;
         if tsgb_obs::enabled() {
@@ -456,6 +477,12 @@ impl Tape {
     /// reaches steady state (diagnostics for the perf probes).
     pub fn pool_misses(&self) -> u64 {
         self.pool.misses()
+    }
+
+    /// Number of buffers parked in the tape's pool (diagnostics for
+    /// the plan memory tests).
+    pub fn pool_parked(&self) -> usize {
+        self.pool.parked()
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> VarId {
@@ -668,6 +695,7 @@ impl Tape {
     /// [`Tape::grad_ref`], which borrows the accumulator instead of
     /// cloning it; this copying form stays for API convenience.
     pub fn grad(&self, id: VarId) -> Matrix {
+        self.assert_grad_retained(id);
         match self.grads.get(id.0) {
             Some(Some(g)) => g.clone(),
             _ => {
@@ -681,7 +709,21 @@ impl Tape {
     /// `backward` call, or `None` when the node did not influence the
     /// loss (its gradient is identically zero).
     pub fn grad_ref(&self, id: VarId) -> Option<&Matrix> {
+        self.assert_grad_retained(id);
         self.grads.get(id.0).and_then(Option::as_ref)
+    }
+
+    /// After `begin_step(true)` a backward keeps only the gradients of
+    /// grad-tracking leaves: every other buffer is reused as soon as
+    /// its node has been propagated (see [`Tape::backward`]). Reading
+    /// one would wrongly report a zero gradient, so it panics instead.
+    fn assert_grad_retained(&self, id: VarId) {
+        if self.lean_grads {
+            assert!(
+                keeps_grad(&self.nodes[id.0].op),
+                "Tape::grad({id:?}): after begin_step(true) only leaf() gradients are kept"
+            );
+        }
     }
 
     // ---- forward ops -------------------------------------------------
@@ -1138,6 +1180,13 @@ impl Tape {
     /// `1 x 1` node. Gradients are then readable via [`Tape::grad_ref`]
     /// (borrowing) or [`Tape::grad`] (copying).
     ///
+    /// After `begin_step(true)` only the gradients of grad-tracking
+    /// leaves ([`Tape::leaf`], [`Tape::leaf_copy`]: parameters and
+    /// differentiated inputs) are kept — the set a replayed plan keeps.
+    /// Every other gradient returns to the pool once it has been
+    /// propagated, so later nodes of the sweep reuse its buffer and the
+    /// recorded step never holds one gradient per node.
+    ///
     /// Gradient accumulators are pooled buffers, and every op's
     /// backward either writes its delta into a pooled temporary and
     /// folds it in with `add_assign`, or — for the matmul family —
@@ -1184,6 +1233,7 @@ impl Tape {
         }
         self.grads.resize_with(n, || None);
 
+        let lean = self.lean_grads;
         let Tape { nodes, grads, pool, .. } = self;
         let mut seed = pool.take_uninit(1, 1);
         seed.fill(1.0);
@@ -1506,7 +1556,11 @@ impl Tape {
                     }
                 }
             }
-            grads[i] = Some(g);
+            if lean && !keeps_grad(&nodes[i].op) {
+                pool.put(g);
+            } else {
+                grads[i] = Some(g);
+            }
         }
     }
 

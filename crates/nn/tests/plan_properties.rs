@@ -183,3 +183,50 @@ fn steady_state_replay_has_zero_pool_misses() {
         "pool missed after the plan was warm"
     );
 }
+
+/// The plan keeps no spare copy of the recorded step: once the first
+/// replayed step has run, the pool holds only the few per-step
+/// temporaries replay cycles through — not the recorded step's
+/// one-per-node gradients, nor a pre-sized copy of the node manifest
+/// — and from the next step on that count stays flat.
+#[test]
+fn first_replayed_step_leaves_no_parked_manifest() {
+    const SEQ: usize = 12;
+    let data = make_steps(10, |_| SEQ, |_| 4, 3);
+    let mut rng = seeded(7);
+    let mut p = Params::new();
+    let cell = GruCell::new(&mut p, "g", 3, 5, &mut rng);
+    let head = Linear::new(&mut p, "h", 5, 3, &mut rng);
+    let mut opt = Adam::new(1e-3);
+    let mut tape = Tape::new();
+    let mut parked = Vec::new();
+    for (xs, target) in &data {
+        tape.begin_step(true);
+        let t = &mut tape;
+        let b = p.bind(t);
+        let mut h = t.zeros(xs[0].rows(), 5);
+        for x in xs {
+            let xv = t.constant_copy(x);
+            h = cell.step(t, &b, xv, h);
+        }
+        let pred = head.forward(t, &b, h);
+        let l = loss::mse_mean(t, pred, target);
+        t.backward(l);
+        p.absorb_grads(t, &b);
+        opt.step(&mut p);
+        parked.push(tape.pool_parked());
+    }
+    assert_eq!(tape.plan_stats(), (1, 9, 0));
+    // a GRU step records 8 nodes, so a leftover manifest or gradient
+    // set would park hundreds of buffers; replay needs at most a
+    // couple of temporaries
+    assert!(
+        parked[1] <= 2,
+        "first replayed step parked {} buffers",
+        parked[1]
+    );
+    assert!(
+        parked[2..].iter().all(|&n| n <= 2 && n == parked[2]),
+        "parked buffers drift during replay: {parked:?}"
+    );
+}

@@ -4,7 +4,8 @@
 # Tier 1 (the ROADMAP contract): release build + root test suite.
 # Tier 2: full workspace tests at one and four pool threads and with
 #         the compiled plan on and off, the golden-value suite (also
-#         under TSGB_EVAL_CACHE=on), the serve, monitor, and
+#         under TSGB_EVAL_CACHE=on), the model-based golden fixture
+#         (threads 1/4 x plan on/off), the serve, monitor, and
 #         sharded-router smoke legs (including a worker-kill fault
 #         drill and a drift-injection drill), the scenario smoke leg
 #         (streamed chunks + conditional identity + the scenario
@@ -40,6 +41,17 @@ if [[ "${1:-}" != "--quick" ]]; then
     echo "==> tier 2: golden-value suite (fixture regression)"
     TSGB_THREADS=1 cargo test -p tsgb-eval --test golden_suite -q
     TSGB_THREADS=4 cargo test -p tsgb-eval --test golden_suite -q
+
+    # the model-based measures' post-hoc nets train on compiled plans;
+    # their pinned bits (checked with the plan forced on and off inside
+    # the test) must hold at one thread and four, under either default
+    echo "==> tier 2: model-based golden fixture (TSGB_THREADS=1/4 x TSGB_PLAN=on/off)"
+    for plan in on off; do
+        for threads in 1 4; do
+            TSGB_PLAN=$plan TSGB_THREADS=$threads \
+                cargo test -p tsgb-eval --test golden_model_based -q
+        done
+    done
 
     # band >= window length (fixtures use l=16) is provably bit-equal
     # to the full DP, so the pinned values must not move
