@@ -848,6 +848,28 @@ fn main() {
     std::fs::write("BENCH_baseline.json", &json).expect("write BENCH_baseline.json");
     println!("wrote BENCH_baseline.json");
 
+    for k in &kernels {
+        assert!(
+            k.speedup() >= k.floor,
+            "{}: speedup {:.2}x below the {:.1}x floor",
+            k.name,
+            k.speedup(),
+            k.floor
+        );
+    }
+
+    // Guard against the small-matrix parallel regression: at size 64
+    // the pool must not be slower than plain serial execution.
+    let m64 = probes
+        .iter()
+        .find(|p| p.name == "matmul_64")
+        .expect("matmul_64 probe present");
+    assert!(
+        m64.speedup() >= 0.95,
+        "matmul_64 parallel regression: speedup {:.2}x < 0.95x",
+        m64.speedup()
+    );
+
     // Incremental eval engine: cold suite vs warm re-evaluation
     // through the content-addressed cache (same x/y sines workload).
     let ec = eval_cache_probe(&x, &y);
@@ -1046,30 +1068,4 @@ fn main() {
             );
         }
     }
-
-    // The kernel floors are checked last, like every other gate after
-    // its ledger file is written: a kernel that misses its floor fails
-    // the run without keeping the eval and train probes from being
-    // measured and recorded.
-    for k in &kernels {
-        assert!(
-            k.speedup() >= k.floor,
-            "{}: speedup {:.2}x below the {:.1}x floor",
-            k.name,
-            k.speedup(),
-            k.floor
-        );
-    }
-
-    // Guard against the small-matrix parallel regression: at size 64
-    // the pool must not be slower than plain serial execution.
-    let m64 = probes
-        .iter()
-        .find(|p| p.name == "matmul_64")
-        .expect("matmul_64 probe present");
-    assert!(
-        m64.speedup() >= 0.95,
-        "matmul_64 parallel regression: speedup {:.2}x < 0.95x",
-        m64.speedup()
-    );
 }

@@ -48,7 +48,7 @@
 //! already-matched prefix with interpreter kernels, retires the stale
 //! suffix, and falls back to recording; the next boundary re-captures.
 
-use crate::tape::{FusedAct, LeafKind, Node, Op};
+use crate::tape::{keeps_grad, FusedAct, LeafKind, Node, Op};
 use std::cell::Cell;
 use tsgb_linalg::gemm::{matmul_prepacked_acc_into, pack_b_panels, pack_bt_panels, packed_b_len};
 use tsgb_linalg::{Matrix, MatrixPool};
@@ -201,8 +201,8 @@ struct BwdPlan {
     /// Pruned edges (into no-grad leaves) keep a placeholder slot so
     /// the positional indexing in [`run_step`] never shifts.
     flags: Vec<bool>,
-    /// Leaves the sweep reaches: the gradient slots that outlive the
-    /// sweep (parameter gradients for [`crate::Tape::grad_ref`]).
+    /// Reached slots that outlive the sweep (the `keeps_grad` leaves:
+    /// parameter gradients for [`crate::Tape::grad_ref`]).
     /// Interior gradients are dead once their own step has run and
     /// live in [`Self::bank`] instead.
     kept: Vec<bool>,
@@ -218,7 +218,7 @@ struct BwdPlan {
     /// [`BwdStep::acq_at`]/[`BwdStep::acq_end`].
     acquire: Vec<(u32, u32)>,
     /// Bank buffer of the loss node's seed gradient (`NONE` when the
-    /// loss is a leaf and so has a kept slot).
+    /// loss has a kept slot).
     loss_bank: u32,
     /// Temporaries for the steps that need one (non-first-touch mapped
     /// deltas, fused-activation `dz`), one per distinct shape: a
@@ -736,10 +736,15 @@ impl BwdPlan {
     fn compile(nodes: &[Node], loss: usize, pool: &mut MatrixPool) -> BwdPlan {
         let mut has = vec![false; nodes.len()];
         has[loss] = true;
-        // Nodes without a backward step (leaves; a detached loss) keep
-        // their gradient slot past the sweep; every other node's
-        // gradient lives from its first touch to its own step.
-        let kept = |i: usize| matches!(nodes[i].op, Op::Leaf(_) | Op::Detach(_));
+        // Slots that outlive the sweep: the shared `keeps_grad` rule,
+        // plus a loss that has no backward step of its own to release
+        // its seed (a constant or detached loss). Every other node's
+        // gradient lives in the bank from its first touch to its own
+        // step.
+        let kept = |i: usize| {
+            keeps_grad(&nodes[i].op)
+                || (i == loss && matches!(nodes[i].op, Op::Leaf(_) | Op::Detach(_)))
+        };
         let mut steps = Vec::new();
         let mut flags = Vec::new();
         let mut scratch_shapes: Vec<(usize, usize)> = Vec::new();

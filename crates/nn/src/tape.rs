@@ -260,9 +260,12 @@ fn sig_match(rec: &mut Op, new: &Op) -> bool {
     }
 }
 
-/// Whether a node's gradient outlives a plan-mode backward sweep: only
+/// Whether a node's gradient outlives a backward sweep: only
 /// grad-tracking leaves (parameters, differentiated inputs) qualify.
-fn keeps_grad(op: &Op) -> bool {
+/// Every other gradient is dead once its node has been propagated, and
+/// both the interpreter ([`Tape::backward`]) and compiled plans reuse
+/// its buffer from then on. The one rule both engines share.
+pub(crate) fn keeps_grad(op: &Op) -> bool {
     matches!(op, Op::Leaf(LeafKind::Data { grad: true }))
 }
 
@@ -302,10 +305,6 @@ pub struct Tape {
     /// Lifetime count of structural invalidations that fell back to
     /// re-recording (`nn.plan.invalidations`).
     invalidations: u64,
-    /// Whether the last step boundary was `begin_step(true)`: the tape
-    /// then keeps only the gradients a compiled plan keeps (see
-    /// [`Tape::backward`]), on recorded steps too.
-    lean_grads: bool,
 }
 
 impl Tape {
@@ -334,7 +333,6 @@ impl Tape {
     pub fn reset(&mut self) {
         self.observe_step();
         self.teardown_plan();
-        self.lean_grads = false;
         for node in self.nodes.drain(..) {
             self.pool.put(node.value);
         }
@@ -385,7 +383,6 @@ impl Tape {
     /// retired, recording resumes, and the next boundary re-captures.
     pub fn begin_step(&mut self, plan: bool) {
         self.observe_step();
-        self.lean_grads = plan;
         if !plan {
             // Plan disabled (`TSGB_PLAN=off` or fresh_tapes): plain
             // arena recycling.
@@ -694,6 +691,9 @@ impl Tape {
     /// influence the loss). Hot paths should prefer
     /// [`Tape::grad_ref`], which borrows the accumulator instead of
     /// cloning it; this copying form stays for API convenience.
+    ///
+    /// Panics unless `id` is a grad-tracking leaf ([`Tape::leaf`],
+    /// [`Tape::leaf_copy`]): no other gradient outlives `backward`.
     pub fn grad(&self, id: VarId) -> Matrix {
         self.assert_grad_retained(id);
         match self.grads.get(id.0) {
@@ -707,23 +707,22 @@ impl Tape {
 
     /// Borrow of the gradient accumulated for node `id` by the last
     /// `backward` call, or `None` when the node did not influence the
-    /// loss (its gradient is identically zero).
+    /// loss (its gradient is identically zero). Panics like
+    /// [`Tape::grad`] on a node that is not a grad-tracking leaf.
     pub fn grad_ref(&self, id: VarId) -> Option<&Matrix> {
         self.assert_grad_retained(id);
         self.grads.get(id.0).and_then(Option::as_ref)
     }
 
-    /// After `begin_step(true)` a backward keeps only the gradients of
-    /// grad-tracking leaves: every other buffer is reused as soon as
-    /// its node has been propagated (see [`Tape::backward`]). Reading
-    /// one would wrongly report a zero gradient, so it panics instead.
+    /// A backward keeps only the gradients of grad-tracking leaves:
+    /// every other buffer is reused as soon as its node has been
+    /// propagated (see [`Tape::backward`]). Reading one would wrongly
+    /// report a zero gradient, so it panics instead.
     fn assert_grad_retained(&self, id: VarId) {
-        if self.lean_grads {
-            assert!(
-                keeps_grad(&self.nodes[id.0].op),
-                "Tape::grad({id:?}): after begin_step(true) only leaf() gradients are kept"
-            );
-        }
+        assert!(
+            keeps_grad(&self.nodes[id.0].op),
+            "Tape::grad({id:?}): only leaf() gradients are kept"
+        );
     }
 
     // ---- forward ops -------------------------------------------------
@@ -1180,12 +1179,12 @@ impl Tape {
     /// `1 x 1` node. Gradients are then readable via [`Tape::grad_ref`]
     /// (borrowing) or [`Tape::grad`] (copying).
     ///
-    /// After `begin_step(true)` only the gradients of grad-tracking
-    /// leaves ([`Tape::leaf`], [`Tape::leaf_copy`]: parameters and
-    /// differentiated inputs) are kept — the set a replayed plan keeps.
-    /// Every other gradient returns to the pool once it has been
-    /// propagated, so later nodes of the sweep reuse its buffer and the
-    /// recorded step never holds one gradient per node.
+    /// Only the gradients of grad-tracking leaves ([`Tape::leaf`],
+    /// [`Tape::leaf_copy`]: parameters and differentiated inputs) are
+    /// kept — the set a replayed plan keeps. Every other gradient
+    /// returns to the pool once it has been propagated, so later nodes
+    /// of the sweep reuse its buffer and a sweep never holds one
+    /// gradient per node.
     ///
     /// Gradient accumulators are pooled buffers, and every op's
     /// backward either writes its delta into a pooled temporary and
@@ -1233,7 +1232,6 @@ impl Tape {
         }
         self.grads.resize_with(n, || None);
 
-        let lean = self.lean_grads;
         let Tape { nodes, grads, pool, .. } = self;
         let mut seed = pool.take_uninit(1, 1);
         seed.fill(1.0);
@@ -1556,10 +1554,10 @@ impl Tape {
                     }
                 }
             }
-            if lean && !keeps_grad(&nodes[i].op) {
-                pool.put(g);
-            } else {
+            if keeps_grad(&nodes[i].op) {
                 grads[i] = Some(g);
+            } else {
+                pool.put(g);
             }
         }
     }
@@ -1740,6 +1738,17 @@ mod tests {
         assert_eq!(t.value(u).row(0), &[0.0, 1.0, 2.0]);
         assert_eq!(t.value(u).row(1), &[1.0, 2.0, 3.0]);
         assert_eq!(t.value(u).row(2), &[2.0, 3.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "only leaf() gradients are kept")]
+    fn interior_grads_are_not_readable_after_backward() {
+        let mut t = Tape::new();
+        let x = scalar(&mut t, 2.0);
+        let y = t.square(x);
+        let z = t.scale(y, 3.0);
+        t.backward(z);
+        let _ = t.grad_ref(y);
     }
 
     #[test]
