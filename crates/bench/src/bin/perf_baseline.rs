@@ -307,6 +307,79 @@ fn kernel_probes() -> Vec<KernelProbe> {
         }
     }
 
+    {
+        // Direct register tile vs band below the packing threshold, at
+        // the recurrent and post-hoc GEMM shapes of the paper
+        // workloads (`m x k x n`: the DS/PS/C-FID GRU input products
+        // at 28 features, and COSCI-GAN's per-channel GRUs). Packed
+        // mode runs these on the direct kernel; both sides are timed
+        // live and interleaved, so no machine canary is needed.
+        use tsgb_linalg::gemm::{with_gemm_mode, GemmMode};
+        const SHAPES: [(usize, usize, usize); 5] =
+            [(32, 28, 8), (48, 28, 12), (21, 8, 16), (21, 16, 16), (21, 1, 16)];
+        const ITERS: usize = 200;
+        let mut rng = seeded(11);
+        let operands: Vec<[Matrix; 4]> = SHAPES
+            .iter()
+            .map(|&(m, k, n)| {
+                [
+                    uniform_matrix(m, k, -1.0, 1.0, &mut rng),
+                    uniform_matrix(k, n, -1.0, 1.0, &mut rng),
+                    uniform_matrix(k, m, -1.0, 1.0, &mut rng),
+                    uniform_matrix(n, k, -1.0, 1.0, &mut rng),
+                ]
+            })
+            .collect();
+        let mut outs: Vec<[Matrix; 3]> = SHAPES
+            .iter()
+            .map(|&(m, _, n)| std::array::from_fn(|_| Matrix::zeros(m, n)))
+            .collect();
+        // Every shape's matmul / t_matmul / matmul_t, `iters` times
+        // each, accumulating from zero on every pass.
+        let mut triple = |mode: GemmMode, iters: usize| -> Vec<u64> {
+            with_gemm_mode(mode, || {
+                tsgb_par::with_threads(1, || {
+                    for ([a, b, at, bt], [c0, c1, c2]) in operands.iter().zip(outs.iter_mut()) {
+                        for _ in 0..iters {
+                            c0.fill(0.0);
+                            a.matmul_acc_into(b, c0);
+                            c1.fill(0.0);
+                            at.t_matmul_acc_into(b, c1);
+                            c2.fill(0.0);
+                            a.matmul_t_acc_into(bt, c2);
+                        }
+                    }
+                })
+            });
+            outs.iter()
+                .flatten()
+                .flat_map(|c| c.as_slice().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        assert!(
+            triple(GemmMode::Packed, 1) == triple(GemmMode::Band, 1),
+            "gemm_small_direct_vs_band: direct result differs from band"
+        );
+        let (mut direct_ms, mut band_ms) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..7 {
+            direct_ms = direct_ms.min(best_of(1, || {
+                std::hint::black_box(triple(GemmMode::Packed, ITERS));
+            }));
+            band_ms = band_ms.min(best_of(1, || {
+                std::hint::black_box(triple(GemmMode::Band, ITERS));
+            }));
+        }
+        out.push(KernelProbe {
+            name: "gemm_small_direct_vs_band",
+            baseline_ms: band_ms,
+            accelerated_ms: direct_ms,
+            floor: 2.0,
+            detail: format!(
+                "matmul+t_matmul+matmul_t at m x k x n = 32x28x8, 48x28x12, 21x8x16, 21x16x16, 21x1x16, {ITERS} passes, serial; both sides timed live"
+            ),
+        });
+    }
+
     out
 }
 

@@ -1,4 +1,6 @@
-//! Packed cache-blocked GEMM microkernels.
+//! Packed cache-blocked GEMM microkernels, and the direct register
+//! tile that packed mode runs below the packing threshold (see
+//! `gemm_path` and the "Direct register tile" section below).
 //!
 //! The band kernels in [`crate::matrix`] walk the operands in their
 //! natural row-major layout, which caps throughput on two fronts: the
@@ -136,13 +138,43 @@ pub fn with_gemm_mode<R>(mode: GemmMode, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Whether an `m x n x k` product should take the packed path: mode
-/// says packed and the multiply work clears the same threshold that
-/// gates parallel dispatch — below it the pack traffic costs more than
-/// the kernel saves, and sub-threshold products are latency-bound
-/// anyway.
-pub(crate) fn packed_enabled(m: usize, n: usize, k: usize) -> bool {
-    m * n * k >= PAR_WORK_THRESHOLD && gemm_mode() == GemmMode::Packed
+/// The kernel a product runs on, chosen per call by [`gemm_path`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum GemmPath {
+    /// Packed panels + register-tile microkernel (large products).
+    Packed,
+    /// Register tile over the operands in place (small products).
+    Direct,
+    /// The row-band kernels in [`crate::matrix`].
+    Band,
+}
+
+/// Three-way dispatch for an `m x n x k` product. In packed mode,
+/// products at or above the parallel threshold pack their operands —
+/// below it the pack traffic costs more than the kernel saves — and
+/// smaller ones run the direct register tile when the CPU has
+/// AVX-512F. Band mode, and CPUs without AVX-512F below the threshold,
+/// take the band kernels. All three build the same accumulator chains.
+pub(crate) fn gemm_path(m: usize, n: usize, k: usize) -> GemmPath {
+    if gemm_mode() == GemmMode::Band {
+        GemmPath::Band
+    } else if m * n * k >= PAR_WORK_THRESHOLD {
+        GemmPath::Packed
+    } else if direct_available() {
+        GemmPath::Direct
+    } else {
+        GemmPath::Band
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn direct_available() -> bool {
+    cpu_has_avx512()
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn direct_available() -> bool {
+    false
 }
 
 /// Borrows a zero-initialized-by-caller pack buffer of `len` doubles
@@ -365,53 +397,173 @@ unsafe fn microkernel_avx512(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) 
 }
 
 // ---------------------------------------------------------------------------
-// Prepacked-B API
+// Direct register tile (sub-threshold products)
 // ---------------------------------------------------------------------------
 //
-// The compiled training plan (`tsgb-nn::plan`) multiplies against the
-// same weight matrices hundreds of times per step — every timestep's
-// `h @ U` shares one `U`. The general entry points above re-pack `B`
-// per call because they cannot know the operand will recur; these
-// entry points let a caller that *does* know pack once and replay the
-// microkernel against the frozen panels. Same panels, same kernel,
-// same chains: bit-identical to the band path at any size, so they
-// are safe below [`packed_enabled`]'s threshold where the general
-// path would decline.
+// Below the packed threshold the recurrent and post-hoc GEMMs are a
+// few dozen rows by 1-32 columns. Packing costs more than it saves
+// there, and the band kernels' short output rows leave the FP pipes
+// idle. The direct kernel keeps an `MR x NR` output tile in registers
+// across the whole `k` loop and reads `A` and `B` where they lie, with
+// masked loads and stores for ragged edges. Each output element is
+// still one `k`-ascending multiply-then-add chain seeded from the
+// existing `C` value, so it is bit-identical to band and packed. Masked
+// lanes load `0.0` and are never stored; real lanes add every term,
+// zeros included, so `0.0 * NaN` still propagates.
 
-/// Length in doubles of the packed-panel buffer for a `k x n` right
-/// operand (`NR`-column panels, `k`-major, zero-padded).
-pub fn packed_b_len(k: usize, n: usize) -> usize {
-    n.div_ceil(NR) * k * NR
+/// `out += a * b` through the direct kernel. Callers route here via
+/// [`gemm_path`], which only returns [`GemmPath::Direct`] on AVX-512F.
+pub(crate) fn matmul_direct(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    direct(
+        m,
+        n,
+        k,
+        a.as_slice(),
+        k,
+        1,
+        b.as_slice(),
+        out.as_mut_slice(),
+    );
 }
 
-/// Packs a `k x n` matrix into `B` panels for
-/// [`matmul_prepacked_acc_into`]. Every slot of `out` is overwritten.
-pub fn pack_b_panels(b: &Matrix, out: &mut [f64]) {
-    let (k, n) = b.shape();
-    assert_eq!(out.len(), packed_b_len(k, n), "pack buffer length");
-    let bd = b.as_slice();
-    pack_b(n, k, &|kk, j| bd[kk * n + j], out);
+/// `out += a^T * b` through the direct kernel: `a` is read
+/// column-strided in place.
+pub(crate) fn t_matmul_direct(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let (m, k, n) = (a.cols(), a.rows(), b.cols());
+    direct(
+        m,
+        n,
+        k,
+        a.as_slice(),
+        1,
+        m,
+        b.as_slice(),
+        out.as_mut_slice(),
+    );
 }
 
-/// Packs the *transpose* of an `n x k` matrix into `B` panels — the
-/// panels of `bᵀ` (`k x n`) — without materializing the transpose.
-pub fn pack_bt_panels(b: &Matrix, out: &mut [f64]) {
-    let (n, k) = b.shape();
-    assert_eq!(out.len(), packed_b_len(k, n), "pack buffer length");
-    let bd = b.as_slice();
-    pack_b(n, k, &|kk, j| bd[j * k + kk], out);
+/// `out += a * b^T` through the direct kernel. `b^T` is staged in a
+/// pack buffer from the thread's pool so the kernel streams its rows;
+/// steady-state calls allocate nothing.
+pub(crate) fn matmul_t_direct(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let (m, k, n) = (a.rows(), a.cols(), b.rows());
+    if k == 0 {
+        return;
+    }
+    with_pack_buf(k * n, |bt| {
+        for (j, brow) in b.as_slice().chunks_exact(k).enumerate() {
+            for (kk, &v) in brow.iter().enumerate() {
+                bt[kk * n + j] = v;
+            }
+        }
+        direct(m, n, k, a.as_slice(), k, 1, bt, out.as_mut_slice());
+    });
 }
 
-/// `out += a * B` where `bpack` holds `B`'s packed panels (`B` being
-/// `a.cols() x n`). Runs the microkernel serially over one band: the
-/// plan's per-timestep products sit far below the parallel threshold,
-/// and band boundaries never alter an accumulator chain anyway.
-pub fn matmul_prepacked_acc_into(a: &Matrix, bpack: &[f64], n: usize, out: &mut Matrix) {
-    let (m, k) = a.shape();
-    assert_eq!(out.shape(), (m, n), "output shape");
-    assert_eq!(bpack.len(), packed_b_len(k, n), "pack buffer length");
-    let ad = a.as_slice();
-    packed_band(0, out.as_mut_slice(), n, k, bpack, &|i, kk| ad[i * k + kk]);
+/// `out[i*n+j] += sum_kk a[i*rs + kk*cs] * b[kk*n+j]`, `kk` ascending.
+#[allow(clippy::too_many_arguments)]
+fn direct(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f64],
+    rs: usize,
+    cs: usize,
+    b: &[f64],
+    out: &mut [f64],
+) {
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    assert!(
+        a.len() > (m - 1) * rs + (k - 1) * cs && b.len() >= k * n && out.len() >= m * n,
+        "direct GEMM operand bounds"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if cpu_has_avx512() {
+        // SAFETY: the feature check above guarantees the instructions;
+        // the assert above bounds every index the kernel forms.
+        unsafe { direct_avx512(m, n, k, a.as_ptr(), rs, cs, b.as_ptr(), out.as_mut_ptr()) };
+        return;
+    }
+    unreachable!("gemm_path selects the direct kernel only on AVX-512F");
+}
+
+/// Row-tile driver: full `MR`-row tiles, then one ragged tile whose
+/// height is a compile-time constant so its accumulators stay in
+/// registers too.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn direct_avx512(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: *const f64,
+    rs: usize,
+    cs: usize,
+    b: *const f64,
+    out: *mut f64,
+) {
+    let mut i0 = 0;
+    while i0 < m {
+        let a0 = a.add(i0 * rs);
+        let c0 = out.add(i0 * n);
+        match m - i0 {
+            1 => direct_tile::<1>(n, k, a0, rs, cs, b, c0),
+            2 => direct_tile::<2>(n, k, a0, rs, cs, b, c0),
+            3 => direct_tile::<3>(n, k, a0, rs, cs, b, c0),
+            4 => direct_tile::<4>(n, k, a0, rs, cs, b, c0),
+            5 => direct_tile::<5>(n, k, a0, rs, cs, b, c0),
+            6 => direct_tile::<6>(n, k, a0, rs, cs, b, c0),
+            7 => direct_tile::<7>(n, k, a0, rs, cs, b, c0),
+            _ => direct_tile::<MR>(n, k, a0, rs, cs, b, c0),
+        }
+        i0 += MR;
+    }
+}
+
+/// One `R x n` row strip: for each `NR`-column tile, `R` accumulator
+/// vectors are loaded from `C`, extended by one `vmulpd` + `vaddpd` per
+/// `kk` (deliberately not `vfmadd`), and stored back.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn direct_tile<const R: usize>(
+    n: usize,
+    k: usize,
+    a: *const f64,
+    rs: usize,
+    cs: usize,
+    b: *const f64,
+    c: *mut f64,
+) {
+    use std::arch::x86_64::*;
+    let mut j0 = 0;
+    while j0 < n {
+        let mask: __mmask8 = if n - j0 >= NR {
+            0xff
+        } else {
+            (1u8 << (n - j0)) - 1
+        };
+        let mut acc = [_mm512_setzero_pd(); R];
+        for (r, v) in acc.iter_mut().enumerate() {
+            *v = _mm512_maskz_loadu_pd(mask, c.add(r * n + j0));
+        }
+        for kk in 0..k {
+            let bv = _mm512_maskz_loadu_pd(mask, b.add(kk * n + j0));
+            let ak = a.add(kk * cs);
+            for (r, v) in acc.iter_mut().enumerate() {
+                let av = _mm512_set1_pd(*ak.add(r * rs));
+                *v = _mm512_add_pd(*v, _mm512_mul_pd(av, bv));
+            }
+        }
+        for (r, v) in acc.iter().enumerate() {
+            _mm512_mask_storeu_pd(c.add(r * n + j0), mask, *v);
+        }
+        j0 += NR;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -601,44 +753,6 @@ mod tests {
                     assert_eq!(out[i * n + j].to_bits(), acc.to_bits(), "({i},{j})");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn prepacked_matches_band_at_plan_shapes() {
-        // The plan's GEMM shapes are tiny (batch x hidden against
-        // hidden x hidden) — far below the general packed threshold —
-        // and ragged against the 8x8 tile. Prepacked must equal the
-        // band kernels bit for bit from a warm accumulator.
-        for (m, k, n, seed) in [(16, 32, 32, 10u64), (5, 7, 11, 11), (8, 32, 16, 12)] {
-            let a = mat(m, k, seed);
-            let b = mat(k, n, seed + 100);
-            let warm = mat(m, n, seed + 200);
-            let mut pre = warm.clone();
-            let mut panels = vec![0.0f64; packed_b_len(k, n)];
-            pack_b_panels(&b, &mut panels);
-            matmul_prepacked_acc_into(&a, &panels, n, &mut pre);
-            let mut band = warm.clone();
-            with_gemm_mode(GemmMode::Band, || a.matmul_acc_into(&b, &mut band));
-            assert_eq!(pre, band, "{m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn prepacked_transpose_matches_band_matmul_t() {
-        // pack_bt_panels(b) followed by a prepacked multiply must equal
-        // `a * bᵀ` on the band path — the backward plan's `dz @ Uᵀ`.
-        for (m, k, n, seed) in [(16, 32, 32, 20u64), (9, 13, 6, 21)] {
-            let a = mat(m, k, seed);
-            let b = mat(n, k, seed + 100); // n x k, logically transposed
-            let warm = mat(m, n, seed + 200);
-            let mut pre = warm.clone();
-            let mut panels = vec![0.0f64; packed_b_len(k, n)];
-            pack_bt_panels(&b, &mut panels);
-            matmul_prepacked_acc_into(&a, &panels, n, &mut pre);
-            let mut band = warm.clone();
-            with_gemm_mode(GemmMode::Band, || a.matmul_t_acc_into(&b, &mut band));
-            assert_eq!(pre, band, "{m}x{k}x{n}");
         }
     }
 

@@ -5,6 +5,7 @@
 //! than returning `Result`s; the construction boundary
 //! ([`Matrix::from_vec`]) is checked and returns an error.
 
+use crate::gemm::GemmPath;
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub};
 
@@ -258,12 +259,15 @@ impl Matrix {
         );
         let (m, n) = (self.rows, rhs.cols);
         assert_eq!(out.shape(), (m, n), "matmul_acc_into output shape");
-        if crate::gemm::packed_enabled(m, n, self.cols) {
-            return crate::gemm::matmul_packed(self, rhs, out);
+        match crate::gemm::gemm_path(m, n, self.cols) {
+            GemmPath::Packed => crate::gemm::matmul_packed(self, rhs, out),
+            GemmPath::Direct => crate::gemm::matmul_direct(self, rhs, out),
+            GemmPath::Band => {
+                dispatch_row_bands(m, n, self.cols, out.as_mut_slice(), |r0, band| {
+                    matmul_band(self, rhs, r0, band, n)
+                })
+            }
         }
-        dispatch_row_bands(m, n, self.cols, out.as_mut_slice(), |r0, band| {
-            matmul_band(self, rhs, r0, band, n)
-        });
     }
 
     /// `self^T * rhs` without materializing the transpose.
@@ -286,12 +290,15 @@ impl Matrix {
         );
         let (m, n) = (self.cols, rhs.cols);
         assert_eq!(out.shape(), (m, n), "t_matmul_acc_into output shape");
-        if crate::gemm::packed_enabled(m, n, self.rows) {
-            return crate::gemm::t_matmul_packed(self, rhs, out);
+        match crate::gemm::gemm_path(m, n, self.rows) {
+            GemmPath::Packed => crate::gemm::t_matmul_packed(self, rhs, out),
+            GemmPath::Direct => crate::gemm::t_matmul_direct(self, rhs, out),
+            GemmPath::Band => {
+                dispatch_row_bands(m, n, self.rows, out.as_mut_slice(), |r0, band| {
+                    t_matmul_band(self, rhs, r0, band, n)
+                })
+            }
         }
-        dispatch_row_bands(m, n, self.rows, out.as_mut_slice(), |r0, band| {
-            t_matmul_band(self, rhs, r0, band, n)
-        });
     }
 
     /// `self * rhs^T` without materializing the transpose.
@@ -314,12 +321,15 @@ impl Matrix {
         );
         let (m, n) = (self.rows, rhs.rows);
         assert_eq!(out.shape(), (m, n), "matmul_t_acc_into output shape");
-        if crate::gemm::packed_enabled(m, n, self.cols) {
-            return crate::gemm::matmul_t_packed(self, rhs, out);
+        match crate::gemm::gemm_path(m, n, self.cols) {
+            GemmPath::Packed => crate::gemm::matmul_t_packed(self, rhs, out),
+            GemmPath::Direct => crate::gemm::matmul_t_direct(self, rhs, out),
+            GemmPath::Band => {
+                dispatch_row_bands(m, n, self.cols, out.as_mut_slice(), |r0, band| {
+                    matmul_t_band(self, rhs, r0, band, n)
+                })
+            }
         }
-        dispatch_row_bands(m, n, self.cols, out.as_mut_slice(), |r0, band| {
-            matmul_t_band(self, rhs, r0, band, n)
-        });
     }
 
     /// Elementwise map into a new matrix.

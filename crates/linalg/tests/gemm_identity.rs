@@ -1,11 +1,12 @@
 //! Packed-vs-band bit-identity properties.
 //!
-//! The packed microkernel GEMM promises *bit-identical* results to
-//! the band kernels: every output element is the same strict
-//! k-ascending mul-then-add fold, only the traversal order of
-//! independent elements changes. These tests drive both paths through
-//! [`with_gemm_mode`] over ragged shapes (nothing aligned to the
-//! MR/NR/KC tile sizes), all three op variants, warm accumulation,
+//! The packed microkernel GEMM and the direct register tile (which
+//! packed mode runs below the packing threshold on AVX-512F) promise
+//! *bit-identical* results to the band kernels: every output element
+//! is the same strict k-ascending mul-then-add fold, only the traversal
+//! order of independent elements changes. These tests drive both modes
+//! through [`with_gemm_mode`] over ragged shapes (nothing aligned to
+//! the MR/NR/KC tile sizes), all three op variants, warm accumulation,
 //! and the 0·NaN edge, comparing raw bits.
 
 use tsgb_linalg::gemm::{with_gemm_mode, GemmMode, KC, MR, NR};
@@ -136,5 +137,96 @@ fn packed_propagates_nan_through_zero_products() {
     // NaN payload bits must match too
     for (p, q) in packed.as_slice().iter().zip(band.as_slice()) {
         assert_eq!(p.to_bits(), q.to_bits());
+    }
+}
+
+/// Sub-threshold shapes: packed mode runs these on the direct register
+/// tile (band where the CPU lacks AVX-512F). Rows and columns straddle
+/// the 8-wide tile (1, 7, 8, 9, 17), `k = 1` leaves a single term per
+/// chain, and the recurrent / post-hoc shapes of the paper workloads
+/// ride along.
+fn small_shapes() -> Vec<(usize, usize, usize)> {
+    let mut v = Vec::new();
+    for m in [1usize, 7, 8, 9, 17] {
+        for n in [1usize, 7, 8, 9, 17] {
+            for k in [1usize, 5, 16] {
+                v.push((m, n, k));
+            }
+        }
+    }
+    v.extend([
+        (32, 8, 28),
+        (48, 12, 28),
+        (21, 16, 8),
+        (21, 16, 16),
+        (21, 1, 16),
+        (16, 32, 32),
+        (64, 64, 64),
+    ]);
+    v
+}
+
+#[test]
+fn direct_matches_band_bitwise_below_threshold() {
+    for (m, n, k) in small_shapes() {
+        assert!(
+            m * n * k < 1 << 19,
+            "{m}x{n}x{k} must stay below the packed threshold"
+        );
+        let (a, b, at, bt) = operands(m, n, k, (m * 131 + n * 17 + k) as u64);
+        let mut warm_rng = seeded((m * n + k) as u64);
+        let warm = uniform_matrix(m, n, -1.0, 1.0, &mut warm_rng);
+        let run = |mode: GemmMode| {
+            with_gemm_mode(mode, || {
+                let fresh = (a.matmul(&b), at.t_matmul(&b), a.matmul_t(&bt));
+                let mut c0 = warm.clone();
+                a.matmul_acc_into(&b, &mut c0);
+                let mut c1 = warm.clone();
+                at.t_matmul_acc_into(&b, &mut c1);
+                let mut c2 = warm.clone();
+                a.matmul_t_acc_into(&bt, &mut c2);
+                (fresh, (c0, c1, c2))
+            })
+        };
+        let (direct, direct_warm) = run(GemmMode::Packed);
+        let (band, band_warm) = run(GemmMode::Band);
+        let tag = format!("{m}x{n}x{k}");
+        assert_bits_eq(&direct.0, &band.0, &format!("matmul {tag}"));
+        assert_bits_eq(&direct.1, &band.1, &format!("t_matmul {tag}"));
+        assert_bits_eq(&direct.2, &band.2, &format!("matmul_t {tag}"));
+        assert_bits_eq(&direct_warm.0, &band_warm.0, &format!("matmul_acc {tag}"));
+        assert_bits_eq(&direct_warm.1, &band_warm.1, &format!("t_matmul_acc {tag}"));
+        assert_bits_eq(&direct_warm.2, &band_warm.2, &format!("matmul_t_acc {tag}"));
+    }
+}
+
+/// The direct tile's masked lanes load `0.0` for columns past `n`;
+/// real lanes must still add every term, so a `0 * NaN` term turns
+/// its whole chain NaN exactly as on the band path — for all three ops
+/// and at ragged sizes on both axes.
+#[test]
+fn direct_propagates_nan_through_zero_products() {
+    for (m, n, k) in [(9usize, 17, 6), (7, 1, 3), (17, 9, 1)] {
+        let hole = k / 2;
+        let a = Matrix::from_fn(m, k, |_, c| if c == hole { 0.0 } else { 1.0 });
+        let at = a.transpose();
+        let b = Matrix::from_fn(k, n, |r, _| if r == hole { f64::NAN } else { 1.0 });
+        let bt = b.transpose();
+        let run = |mode: GemmMode| {
+            with_gemm_mode(mode, || (a.matmul(&b), at.t_matmul(&b), a.matmul_t(&bt)))
+        };
+        let direct = run(GemmMode::Packed);
+        let band = run(GemmMode::Band);
+        for (d, q, what) in [
+            (&direct.0, &band.0, "matmul"),
+            (&direct.1, &band.1, "t_matmul"),
+            (&direct.2, &band.2, "matmul_t"),
+        ] {
+            assert!(
+                d.as_slice().iter().all(|v| v.is_nan()),
+                "{what} {m}x{n}x{k}: direct path skipped a 0*NaN term"
+            );
+            assert_bits_eq(d, q, &format!("{what} NaN {m}x{n}x{k}"));
+        }
     }
 }

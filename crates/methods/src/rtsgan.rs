@@ -178,8 +178,8 @@ impl TsgMethod for RtsGan {
                 let idx = minibatch(r, cfg.batch, rng);
                 let steps = gather_step_matrices(train, &idx);
                 let t = c_tape.begin();
-                let ab = nets.ae_params.bind(t);
-                let gb = nets.gen_params.bind(t);
+                let ab = nets.ae_params.bind_frozen(t);
+                let gb = nets.gen_params.bind_frozen(t);
                 let cb = nets.critic_params.bind(t);
                 let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
                 let z_real = encode(&nets, t, &ab, &xs, idx.len());
@@ -200,7 +200,7 @@ impl TsgMethod for RtsGan {
             let g_loss_val = {
                 let t = g_tape.begin();
                 let gb = nets.gen_params.bind(t);
-                let cb = nets.critic_params.bind(t);
+                let cb = nets.critic_params.bind_frozen(t);
                 let noise_m = noise(cfg.batch.min(r), nets.noise_dim, rng);
                 let nz = t.constant(noise_m);
                 let z_fake = nets.generator.forward(t, &gb, nz);

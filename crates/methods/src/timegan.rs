@@ -221,7 +221,7 @@ impl TsgMethod for TimeGan {
             let idx = minibatch(r, cfg.batch, rng);
             let steps = gather_step_matrices(train, &idx);
             let t = s_tape.begin();
-            let erb = nets.er_params.bind(t);
+            let erb = nets.er_params.bind_frozen(t);
             let sb = nets.s_params.bind(t);
             let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
             let hs = nets.embedder.run(t, &erb, &xs, idx.len());
@@ -258,8 +258,8 @@ impl TsgMethod for TimeGan {
             // D step
             {
                 let t = d_tape.begin();
-                let erb = nets.er_params.bind(t);
-                let gb = nets.g_params.bind(t);
+                let erb = nets.er_params.bind_frozen(t);
+                let gb = nets.g_params.bind_frozen(t);
                 let db = nets.d_params.bind(t);
                 let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
                 let h_real = nets.embedder.run(t, &erb, &xs, batch);
@@ -277,10 +277,10 @@ impl TsgMethod for TimeGan {
             // G step: adversarial + supervised + moments on recovered data
             let g_loss_val = {
                 let t = g_tape.begin();
-                let erb = nets.er_params.bind(t);
-                let sb = nets.s_params.bind(t);
+                let erb = nets.er_params.bind_frozen(t);
+                let sb = nets.s_params.bind_frozen(t);
                 let gb = nets.g_params.bind(t);
-                let db = nets.d_params.bind(t);
+                let db = nets.d_params.bind_frozen(t);
                 let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant(z.clone())).collect();
                 let h_fake = nets.generator.run(t, &gb, &z_vars, batch);
                 let fake_logit = nets.discriminator.run_last(t, &db, &h_fake, batch);

@@ -78,3 +78,17 @@ fn rgan_recycled_tapes_bit_identical_with_plan_disabled() {
 fn timevae_recycled_tapes_bit_identical_with_plan_disabled() {
     tsgb_nn::with_plan_mode(false, || assert_recycled_matches_fresh(MethodId::TimeVae));
 }
+
+// COSCI-GAN is the one method that replays a single phase plan across
+// several parameter sets: its per-channel discriminator step reuses
+// one tape for every channel's generator/discriminator pair.
+
+#[test]
+fn cosci_gan_recycled_tapes_bit_identical_to_fresh() {
+    assert_recycled_matches_fresh(MethodId::CosciGan);
+}
+
+#[test]
+fn cosci_gan_recycled_tapes_bit_identical_with_plan_disabled() {
+    tsgb_nn::with_plan_mode(false, || assert_recycled_matches_fresh(MethodId::CosciGan));
+}

@@ -5,7 +5,8 @@
 //! can be rebuilt freely). Each training step:
 //!
 //! 1. [`Params::bind`] injects every parameter into a fresh tape as a
-//!    leaf, returning a [`Binding`];
+//!    leaf, returning a [`Binding`] ([`Params::bind_frozen`] injects
+//!    constants instead, for stores the step reads but does not train);
 //! 2. the model's forward pass reads parameter `VarId`s through the
 //!    binding;
 //! 3. after `backward`, [`Params::absorb_grads`] copies the tape's
@@ -115,6 +116,22 @@ impl Params {
             .entries
             .iter()
             .map(|e| tape.leaf_copy(&e.value))
+            .collect();
+        Binding { vars }
+    }
+
+    /// Injects every parameter into `tape` as a constant (a pooled copy
+    /// of the current value): a *frozen* binding. The forward pass reads
+    /// it exactly like a [`Params::bind`] binding, but no backward sweep
+    /// computes its gradients — for training phases that update other
+    /// stores against this one (a GAN's discriminator step against the
+    /// generator, and the reverse). Absorbing or accumulating from a
+    /// frozen binding panics, like reading any non-leaf gradient.
+    pub fn bind_frozen(&self, tape: &mut Tape) -> Binding {
+        let vars = self
+            .entries
+            .iter()
+            .map(|e| tape.constant_copy(&e.value))
             .collect();
         Binding { vars }
     }

@@ -48,9 +48,8 @@
 //! already-matched prefix with interpreter kernels, retires the stale
 //! suffix, and falls back to recording; the next boundary re-captures.
 
-use crate::tape::{keeps_grad, FusedAct, LeafKind, Node, Op};
+use crate::tape::{keeps_grad, FusedAct, Node, Op};
 use std::cell::Cell;
-use tsgb_linalg::gemm::{matmul_prepacked_acc_into, pack_b_panels, pack_bt_panels, packed_b_len};
 use tsgb_linalg::{Matrix, MatrixPool};
 
 // ---------------------------------------------------------------------
@@ -124,45 +123,6 @@ pub(crate) struct FwdPlan {
     /// Nodes fused away: their value buffers are never refreshed
     /// during replay ([`crate::Tape::value`] refuses to read them).
     dead: Vec<bool>,
-    /// Prepacked panels for the leaf right-hand operands of profitable
-    /// forward GEMMs — the recurrent weights, packed once per replay
-    /// and consumed by every timestep's `h @ U`.
-    pcache: PackCache,
-}
-
-/// Packed right-operand panels ([`tsgb_linalg::gemm`] layout) for the
-/// recurring GEMMs of a frozen step, keyed by node id. The node set
-/// and panel lengths are frozen at compile; the panel *contents* are
-/// repacked from the live node values before each use, so weight
-/// updates flow through exactly like they do for the transpose cache.
-pub(crate) struct PackCache {
-    entries: Vec<(u32, Vec<f64>)>,
-}
-
-impl PackCache {
-    fn get(&self, id: usize) -> Option<&[f64]> {
-        self.entries
-            .iter()
-            .find(|(e, _)| *e as usize == id)
-            .map(|(_, p)| p.as_slice())
-    }
-}
-
-/// The no-prepack cache the interpreter's materialization paths
-/// ([`crate::Tape::eval`], invalidation fallback) pass to
-/// [`exec_node`]: every GEMM takes the plain kernels.
-pub(crate) static EMPTY_PACKS: PackCache = PackCache {
-    entries: Vec::new(),
-};
-
-/// Whether an `m x k` times `k x n` product is worth routing through
-/// prepacked panels: measured at the plan's own shapes, the
-/// microkernel wins once the row tile fills (`m >= 8`) and the
-/// `k`-chain and panel width amortize the packed streaming (~1.6x at
-/// the 16x32x32 recurrent `h @ U` / `dz @ Uᵀ` shape), and loses when
-/// rows, depth, or width are tiny (0.5-0.6x at 4x16x32 / 16x4x32).
-fn pack_profitable(m: usize, k: usize, n: usize) -> bool {
-    m >= 8 && k >= 32 && n >= 16
 }
 
 impl FwdPlan {
@@ -198,8 +158,9 @@ struct BwdPlan {
     steps: Vec<BwdStep>,
     /// Per-edge first-touch flags, in the exact order the interpreter
     /// visits edges; `true` mirrors "install into an empty slot".
-    /// Pruned edges (into no-grad leaves) keep a placeholder slot so
-    /// the positional indexing in [`run_step`] never shifts.
+    /// Pruned edges (into nodes that need no gradient) keep a
+    /// placeholder slot so the positional indexing in [`run_step`]
+    /// never shifts.
     flags: Vec<bool>,
     /// Reached slots that outlive the sweep (the `keeps_grad` leaves:
     /// parameter gradients for [`crate::Tape::grad_ref`]).
@@ -233,28 +194,6 @@ struct BwdPlan {
     /// cheap transpose amortized over the whole sweep (a recurrent
     /// weight is hit once per timestep) is a clear win.
     tcache: Vec<(u32, Matrix)>,
-    /// Same idea, one step further: the `matmul_t` right-hand sides
-    /// whose shape clears [`pack_profitable`] skip the transpose
-    /// detour and go straight to prepacked microkernel panels of the
-    /// transpose, repacked once per run. An id lands here *or* in
-    /// [`Self::tcache`] per edge (both, if a weight is consumed at
-    /// both profitable and tiny shapes); [`run_step`] re-derives the
-    /// same predicate from the frozen shapes to pick the right cache.
-    ptcache: PackCache,
-}
-
-/// Whether a node's gradient goes nowhere: leaves nobody can observe
-/// (constants, zeros padding, filled targets) and `detach` nodes, which
-/// stop the sweep. The compiled backward plan prunes every edge into
-/// such nodes; the interpreter still computes them, and since pruning
-/// only removes *writes to those slots*, parameter gradients are
-/// bit-identical either way.
-fn nograd(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Leaf(LeafKind::Data { grad: false } | LeafKind::Zeros | LeafKind::Filled(_))
-            | Op::Detach(_)
-    )
 }
 
 /// A captured step: the forward schedule plus lazily compiled backward
@@ -291,55 +230,8 @@ impl Replay {
     pub(crate) fn capture(nodes: &[Node]) -> Replay {
         let n = nodes.len();
         let mut uses = vec![0u32; n];
-        let mut count = |id: &crate::VarId| uses[id.0] += 1;
         for node in nodes {
-            match &node.op {
-                Op::Leaf(_) => {}
-                Op::Add(a, b)
-                | Op::Sub(a, b)
-                | Op::Mul(a, b)
-                | Op::Matmul(a, b)
-                | Op::AddRowBroadcast(a, b)
-                | Op::MulRowBroadcast(a, b)
-                | Op::ConcatCols(a, b) => {
-                    count(a);
-                    count(b);
-                }
-                Op::Neg(a)
-                | Op::Scale(a, _)
-                | Op::AddScalar(a, _)
-                | Op::Detach(a)
-                | Op::Sigmoid(a)
-                | Op::Tanh(a)
-                | Op::Relu(a)
-                | Op::LeakyRelu(a, _)
-                | Op::Exp(a)
-                | Op::Ln(a)
-                | Op::Square(a)
-                | Op::Abs(a)
-                | Op::Softplus(a)
-                | Op::Recip(a)
-                | Op::Sum(a)
-                | Op::Mean(a)
-                | Op::SliceCols(a, _, _)
-                | Op::SliceRows(a, _, _)
-                | Op::Im2Col(a, _)
-                | Op::RowMean(a)
-                | Op::Transpose(a) => count(a),
-                Op::ConcatRows(parts) => parts.iter().for_each(&mut count),
-                Op::Affine { x, w, b, .. } => {
-                    count(x);
-                    count(w);
-                    count(b);
-                }
-                Op::Affine2 { x, w, h, u, b, .. } => {
-                    count(x);
-                    count(w);
-                    count(h);
-                    count(u);
-                    count(b);
-                }
-            }
+            node.op.for_each_input(|id| uses[id.0] += 1);
         }
 
         // Activation fusion: a single-use Matmul / identity-Affine(2)
@@ -363,54 +255,10 @@ impl Replay {
             })
             .collect();
 
-        // Prepack manifest: leaf right-hand operands of profitable
-        // GEMMs. Only leaves qualify because the panels are refreshed
-        // *before* the forward sweep runs — a computed operand's value
-        // would still be stale then. (Weights are leaves; that is
-        // exactly the recurring case worth packing.) Fused-away
-        // producers still run their GEMM in `exec_fused`, so the scan
-        // ignores `dead`.
-        let mut fneed: Vec<u32> = Vec::new();
-        {
-            let mut site = |a: &crate::VarId, b: &crate::VarId| {
-                let (m, k) = nodes[a.0].value.shape();
-                let n = nodes[b.0].value.cols();
-                if pack_profitable(m, k, n) && matches!(nodes[b.0].op, Op::Leaf(_)) {
-                    fneed.push(b.0 as u32);
-                }
-            };
-            for node in nodes {
-                match &node.op {
-                    Op::Matmul(a, b) => site(a, b),
-                    Op::Affine { x, w, .. } => site(x, w),
-                    Op::Affine2 { x, w, h, u, .. } => {
-                        site(x, w);
-                        site(h, u);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        fneed.sort_unstable();
-        fneed.dedup();
-        let pcache = PackCache {
-            entries: fneed
-                .into_iter()
-                .map(|id| {
-                    let (k, n) = nodes[id as usize].value.shape();
-                    (id, vec![0.0; packed_b_len(k, n)])
-                })
-                .collect(),
-        };
-
         Replay {
             cursor: 0,
             watermark: 0,
-            fwd: FwdPlan {
-                steps,
-                dead,
-                pcache,
-            },
+            fwd: FwdPlan { steps, dead },
             bwd: Vec::new(),
         }
     }
@@ -445,23 +293,15 @@ impl Replay {
         pool: &mut MatrixPool,
         loss: usize,
     ) {
-        if self.watermark < nodes.len() {
-            // Repack the frozen weight panels from this step's live
-            // values (Adam moved them since the last replay). Skipped
-            // when a second loss backward finds everything fresh.
-            for (id, panels) in self.fwd.pcache.entries.iter_mut() {
-                pack_b_panels(&nodes[*id as usize].value, panels);
-            }
-        }
         for step in &self.fwd.steps {
             let out = step.out as usize;
             if out < self.watermark {
                 continue;
             }
             if step.src == step.out {
-                exec_node(nodes, out, pool, &self.fwd.pcache);
+                exec_node(nodes, out, pool);
             } else {
-                exec_fused(nodes, step.src as usize, out, pool, &self.fwd.pcache);
+                exec_fused(nodes, step.src as usize, out, pool);
             }
         }
         self.watermark = nodes.len();
@@ -482,23 +322,11 @@ impl Replay {
 // Forward execution
 // ---------------------------------------------------------------------
 
-/// `dst += a * b`, through node `b_id`'s prepacked panels when the
-/// forward plan cached them, else the plain matmul. The two paths are
-/// bit-identical (see [`tsgb_linalg::gemm`]); the cache only holds ids
-/// whose shape made packing profitable.
-fn mm(a: &Matrix, b_id: usize, b: &Matrix, packs: &PackCache, dst: &mut Matrix) {
-    if let Some(panels) = packs.get(b_id) {
-        matmul_prepacked_acc_into(a, panels, b.cols(), dst);
-    } else {
-        a.matmul_acc_into(b, dst);
-    }
-}
-
 /// Recomputes node `i`'s value in place with the interpreter's own
 /// kernels and operand order — the unfused path, also used to
 /// materialize deferred prefixes for [`crate::Tape::eval`] and
-/// invalidation fallback (which pass [`EMPTY_PACKS`]).
-pub(crate) fn exec_node(nodes: &mut [Node], i: usize, pool: &mut MatrixPool, packs: &PackCache) {
+/// invalidation fallback.
+pub(crate) fn exec_node(nodes: &mut [Node], i: usize, pool: &mut MatrixPool) {
     let (lo, hi) = nodes.split_at_mut(i);
     let node = &mut hi[0];
     let v = &mut node.value;
@@ -519,7 +347,7 @@ pub(crate) fn exec_node(nodes: &mut [Node], i: usize, pool: &mut MatrixPool, pac
         Op::Detach(a) => v.copy_from(&lo[a.0].value),
         Op::Matmul(a, b) => {
             v.fill(0.0);
-            mm(&lo[a.0].value, b.0, &lo[b.0].value, packs, v);
+            lo[a.0].value.matmul_acc_into(&lo[b.0].value, v);
         }
         Op::Sigmoid(a) => lo[a.0].value.map_into(tsgb_linalg::detmath::sigmoid, v),
         Op::Tanh(a) => lo[a.0].value.map_into(tsgb_linalg::detmath::tanh, v),
@@ -629,18 +457,18 @@ pub(crate) fn exec_node(nodes: &mut [Node], i: usize, pool: &mut MatrixPool, pac
         Op::Affine { x, w, b, act } => {
             let act = *act;
             v.fill(0.0);
-            mm(&lo[x.0].value, w.0, &lo[w.0].value, packs, v);
+            lo[x.0].value.matmul_acc_into(&lo[w.0].value, v);
             v.add_row_broadcast_assign(&lo[b.0].value);
             act.apply(v);
         }
         Op::Affine2 { x, w, h, u, b, act } => {
             let act = *act;
             v.fill(0.0);
-            mm(&lo[x.0].value, w.0, &lo[w.0].value, packs, v);
+            lo[x.0].value.matmul_acc_into(&lo[w.0].value, v);
             // Separate h U accumulator, added afterwards: identical
             // summation order to the record path.
             let mut hu = pool.take_zeroed(v.rows(), v.cols());
-            mm(&lo[h.0].value, u.0, &lo[u.0].value, packs, &mut hu);
+            lo[h.0].value.matmul_acc_into(&lo[u.0].value, &mut hu);
             v.add_assign(&hu);
             pool.put(hu);
             v.add_row_broadcast_assign(&lo[b.0].value);
@@ -654,7 +482,7 @@ pub(crate) fn exec_node(nodes: &mut [Node], i: usize, pool: &mut MatrixPool, pac
 /// place. `src`'s own buffer is left stale (dead). Bit-identical to
 /// the unfused pair: the activation sees the exact pre-activation bits
 /// the producer would have stored.
-fn exec_fused(nodes: &mut [Node], src: usize, out: usize, pool: &mut MatrixPool, packs: &PackCache) {
+fn exec_fused(nodes: &mut [Node], src: usize, out: usize, pool: &mut MatrixPool) {
     let (lo, hi) = nodes.split_at_mut(out);
     let act = match hi[0].op {
         Op::Sigmoid(_) => FusedAct::Sigmoid,
@@ -666,18 +494,18 @@ fn exec_fused(nodes: &mut [Node], src: usize, out: usize, pool: &mut MatrixPool,
     match &lo[src].op {
         Op::Matmul(a, b) => {
             v.fill(0.0);
-            mm(&lo[a.0].value, b.0, &lo[b.0].value, packs, v);
+            lo[a.0].value.matmul_acc_into(&lo[b.0].value, v);
         }
         Op::Affine { x, w, b, .. } => {
             v.fill(0.0);
-            mm(&lo[x.0].value, w.0, &lo[w.0].value, packs, v);
+            lo[x.0].value.matmul_acc_into(&lo[w.0].value, v);
             v.add_row_broadcast_assign(&lo[b.0].value);
         }
         Op::Affine2 { x, w, h, u, b, .. } => {
             v.fill(0.0);
-            mm(&lo[x.0].value, w.0, &lo[w.0].value, packs, v);
+            lo[x.0].value.matmul_acc_into(&lo[w.0].value, v);
             let mut hu = pool.take_zeroed(v.rows(), v.cols());
-            mm(&lo[h.0].value, u.0, &lo[u.0].value, packs, &mut hu);
+            lo[h.0].value.matmul_acc_into(&lo[u.0].value, &mut hu);
             v.add_assign(&hu);
             pool.put(hu);
             v.add_row_broadcast_assign(&lo[b.0].value);
@@ -760,10 +588,8 @@ impl BwdPlan {
         slot[loss] = loss_bank;
         let mut touched: Vec<usize> = Vec::new();
         // Node ids whose transpose the sweep wants cached (`matmul_t`
-        // right-hand sides of live edges); deduped below. Profitable
-        // shapes route to the prepacked panel cache instead.
+        // right-hand sides of live edges); deduped below.
         let mut tneed: Vec<u32> = Vec::new();
-        let mut pneed: Vec<u32> = Vec::new();
         for i in (0..=loss).rev() {
             if !has[i] {
                 continue;
@@ -778,26 +604,14 @@ impl BwdPlan {
             {
                 // `mapped` edges compute an elementwise delta: a
                 // non-first touch needs a temporary to add from.
-                // A live `matmul_t` right-hand side: prepacked panels
-                // when the multiply's shape is profitable, else the
-                // plain transpose cache. The deltas multiplied against
-                // the transpose are all node-`i`-shaped, so `m` is
-                // this node's row count.
-                let m = nodes[i].value.rows();
-                let mut twant = |rhs: usize| {
-                    let (n, k) = nodes[rhs].value.shape();
-                    if pack_profitable(m, k, n) {
-                        pneed.push(rhs as u32);
-                    } else {
-                        tneed.push(rhs as u32);
-                    }
-                };
+                let mut twant = |rhs: usize| tneed.push(rhs as u32);
+                let live = |t: usize| nodes[t].needs_grad;
                 let mut edge = |t: usize, mapped: bool| {
-                    if nograd(&nodes[t].op) {
-                        // Pruned edge: the flag slot is kept (so the
-                        // positional indexing in `run_step` matches)
-                        // but never read, and the leaf stays
-                        // unreached.
+                    if !live(t) {
+                        // Pruned edge (the requires-grad rule): the
+                        // flag slot is kept (so the positional
+                        // indexing in `run_step` matches) but never
+                        // read, and the node stays unreached.
                         flags.push(true);
                         return;
                     }
@@ -841,7 +655,7 @@ impl BwdPlan {
                     Op::Matmul(a, b) => {
                         edge(a.0, false);
                         edge(b.0, false);
-                        if !nograd(&nodes[a.0].op) {
+                        if live(a.0) {
                             twant(b.0);
                         }
                     }
@@ -873,7 +687,7 @@ impl BwdPlan {
                         edge(x.0, false);
                         edge(w.0, false);
                         edge(b.0, false);
-                        if !nograd(&nodes[x.0].op) {
+                        if live(x.0) {
                             twant(w.0);
                         }
                     }
@@ -883,10 +697,10 @@ impl BwdPlan {
                         edge(h.0, false);
                         edge(u.0, false);
                         edge(b.0, false);
-                        if !nograd(&nodes[x.0].op) {
+                        if live(x.0) {
                             twant(w.0);
                         }
-                        if !nograd(&nodes[h.0].op) {
+                        if live(h.0) {
                             twant(u.0);
                         }
                     }
@@ -942,19 +756,6 @@ impl BwdPlan {
                 (id, pool.take_uninit(c, r))
             })
             .collect();
-        pneed.sort_unstable();
-        pneed.dedup();
-        let ptcache = PackCache {
-            entries: pneed
-                .into_iter()
-                .map(|id| {
-                    // The packed operand is the *transpose*, so the
-                    // panel geometry swaps the node's axes.
-                    let (n, k) = nodes[id as usize].value.shape();
-                    (id, vec![0.0; packed_b_len(k, n)])
-                })
-                .collect(),
-        };
         BwdPlan {
             loss,
             steps,
@@ -965,7 +766,6 @@ impl BwdPlan {
             loss_bank,
             scratch,
             tcache,
-            ptcache,
         }
     }
 
@@ -1007,7 +807,6 @@ impl BwdPlan {
             loss_bank,
             scratch,
             tcache,
-            ptcache,
             ..
         } = self;
         if *loss_bank != NONE {
@@ -1017,14 +816,10 @@ impl BwdPlan {
             .as_mut()
             .expect("loss slot materialized above")
             .fill(1.0);
-        // Refresh the cached transposes and packed panels: values
-        // (weights) change every step, the set of cached nodes never
-        // does.
+        // Refresh the cached transposes: values (weights) change every
+        // step, the set of cached nodes never does.
         for (id, buf) in tcache.iter_mut() {
             nodes[*id as usize].value.transpose_into(buf);
-        }
-        for (id, panels) in ptcache.entries.iter_mut() {
-            pack_bt_panels(&nodes[*id as usize].value, panels);
         }
         for step in steps.iter() {
             let i = step.node as usize;
@@ -1039,7 +834,7 @@ impl BwdPlan {
             let g: &Matrix = hi[0].as_ref().expect("reached grads are materialized");
             let fa = step.flags_at as usize;
             let sbuf = scratch.get_mut(step.scratch as usize);
-            run_step(nodes, lo, g, i, &flags[fa..], sbuf, tcache, ptcache, dead);
+            run_step(nodes, lo, g, i, &flags[fa..], sbuf, tcache, dead);
             if step.release != NONE {
                 std::mem::swap(&mut grads[i], &mut bank[step.release as usize]);
             }
@@ -1068,49 +863,31 @@ fn acc_slot(slot: &mut Option<Matrix>, fresh: bool) -> &mut Matrix {
     dst
 }
 
-/// `dst += a * (node rhs's value)ᵀ`, via whichever cache
-/// [`BwdPlan::compile`] routed the edge to: prepacked transpose
-/// panels when the shape cleared [`pack_profitable`] (the predicate
-/// re-derives identically here — all inputs are frozen shapes), else
-/// the plain matmul against the cached transpose. Both are
-/// bit-identical to `a.matmul_t_acc_into(rhs, dst)` (equality
-/// documented on [`Matrix::matmul_t`] and [`tsgb_linalg::gemm`]).
-fn mul_t_acc(
-    nodes: &[Node],
-    tcache: &[(u32, Matrix)],
-    ptcache: &PackCache,
-    a: &Matrix,
-    rhs: usize,
-    dst: &mut Matrix,
-) {
-    let (n, k) = nodes[rhs].value.shape();
-    if pack_profitable(a.rows(), k, n) {
-        let panels = ptcache
-            .get(rhs)
-            .expect("profitable matmul_t RHS has packed panels");
-        matmul_prepacked_acc_into(a, panels, n, dst);
-    } else {
-        let t = &tcache
-            .iter()
-            .find(|(id, _)| *id as usize == rhs)
-            .expect("live matmul_t RHS has a cached transpose")
-            .1;
-        a.matmul_acc_into(t, dst);
-    }
+/// `dst += a * (node rhs's value)ᵀ` as the plain matmul against the
+/// sweep's cached transpose — bit-identical to
+/// `a.matmul_t_acc_into(rhs, dst)` (equality documented on
+/// [`Matrix::matmul_t`]).
+fn mul_t_acc(tcache: &[(u32, Matrix)], a: &Matrix, rhs: usize, dst: &mut Matrix) {
+    let t = &tcache
+        .iter()
+        .find(|(id, _)| *id as usize == rhs)
+        .expect("live matmul_t RHS has a cached transpose")
+        .1;
+    a.matmul_acc_into(t, dst);
 }
 
 /// Executes one backward step for node `i`: `g` is its (final)
 /// incoming gradient, `lo` the grad slots of all earlier nodes,
 /// `flags` this step's first-touch flags, `sbuf` its scratch buffer,
-/// `tcache`/`ptcache` the plan's per-run caches of transposed
-/// `matmul_t` right-hand sides (plain and prepacked).
+/// `tcache` the plan's per-run cache of transposed `matmul_t`
+/// right-hand sides.
 ///
 /// Every arm replicates the interpreter arm for the same op — same
 /// kernels, same operand order, with first-touch flags standing in
-/// for the interpreter's empty-slot checks. Two sanctioned
-/// deviations, both bit-identical: edges into no-grad leaves are
-/// skipped entirely (`live` mirrors compile's pruning — nothing else
-/// reads those slots), and `x.matmul_t_acc_into(w, ..)` runs through
+/// for the interpreter's empty-slot checks, and the same requires-grad
+/// rule: `live` skips every edge into a node that needs no gradient,
+/// exactly as compile pruned it. One sanctioned deviation,
+/// bit-identical: `x.matmul_t_acc_into(w, ..)` runs through
 /// [`mul_t_acc`].
 #[allow(clippy::too_many_arguments)]
 fn run_step(
@@ -1121,10 +898,9 @@ fn run_step(
     flags: &[bool],
     mut sbuf: Option<&mut Matrix>,
     tcache: &[(u32, Matrix)],
-    ptcache: &PackCache,
     dead: &[bool],
 ) {
-    let live = |t: usize| !nograd(&nodes[t].op);
+    let live = |t: usize| nodes[t].needs_grad;
     // A mapped (elementwise-delta) edge: first touch computes straight
     // into the slot; later touches compute into scratch and add.
     macro_rules! mapped {
@@ -1213,7 +989,7 @@ fn run_step(
         Op::Matmul(a, b) => {
             if live(a.0) {
                 let ga = acc_slot(&mut lo[a.0], flags[0]);
-                mul_t_acc(nodes, tcache, ptcache, g, b.0, ga);
+                mul_t_acc(tcache, g, b.0, ga);
             }
             if live(b.0) {
                 let gb = acc_slot(&mut lo[b.0], flags[1]);
@@ -1488,7 +1264,7 @@ fn run_step(
             };
             if live(x.0) {
                 let gx = acc_slot(&mut lo[x.0], flags[0]);
-                mul_t_acc(nodes, tcache, ptcache, dz, w.0, gx);
+                mul_t_acc(tcache, dz, w.0, gx);
             }
             if live(w.0) {
                 let gw = acc_slot(&mut lo[w.0], flags[1]);
@@ -1509,7 +1285,7 @@ fn run_step(
             };
             if live(x.0) {
                 let gx = acc_slot(&mut lo[x.0], flags[0]);
-                mul_t_acc(nodes, tcache, ptcache, dz, w.0, gx);
+                mul_t_acc(tcache, dz, w.0, gx);
             }
             if live(w.0) {
                 let gw = acc_slot(&mut lo[w.0], flags[1]);
@@ -1517,7 +1293,7 @@ fn run_step(
             }
             if live(h.0) {
                 let gh = acc_slot(&mut lo[h.0], flags[2]);
-                mul_t_acc(nodes, tcache, ptcache, dz, u.0, gh);
+                mul_t_acc(tcache, dz, u.0, gh);
             }
             if live(u.0) {
                 let gu = acc_slot(&mut lo[u.0], flags[3]);

@@ -87,10 +87,8 @@ impl FusedAct {
 pub(crate) enum LeafKind {
     /// Parameter or minibatch data: fed by copy every replayed step.
     /// `grad: false` marks constants ([`Tape::constant`] /
-    /// [`Tape::constant_copy`]) whose gradient nobody reads — the
-    /// compiled backward plan prunes every edge into them (the
-    /// interpreter still materializes them, which is why parameter
-    /// bits stay identical either way).
+    /// [`Tape::constant_copy`]) whose gradient nobody reads — under
+    /// the requires-grad rule no backward sweep computes it.
     Data {
         grad: bool,
     },
@@ -260,6 +258,59 @@ fn sig_match(rec: &mut Op, new: &Op) -> bool {
     }
 }
 
+impl Op {
+    /// Calls `f` on every input of the op, in operand order.
+    pub(crate) fn for_each_input(&self, mut f: impl FnMut(VarId)) {
+        match self {
+            Op::Leaf(_) => {}
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::Matmul(a, b)
+            | Op::AddRowBroadcast(a, b)
+            | Op::MulRowBroadcast(a, b)
+            | Op::ConcatCols(a, b) => {
+                f(*a);
+                f(*b);
+            }
+            Op::Neg(a)
+            | Op::Scale(a, _)
+            | Op::AddScalar(a, _)
+            | Op::Detach(a)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::Relu(a)
+            | Op::LeakyRelu(a, _)
+            | Op::Exp(a)
+            | Op::Ln(a)
+            | Op::Square(a)
+            | Op::Abs(a)
+            | Op::Softplus(a)
+            | Op::Recip(a)
+            | Op::Sum(a)
+            | Op::Mean(a)
+            | Op::SliceCols(a, _, _)
+            | Op::SliceRows(a, _, _)
+            | Op::Im2Col(a, _)
+            | Op::RowMean(a)
+            | Op::Transpose(a) => f(*a),
+            Op::ConcatRows(parts) => parts.iter().copied().for_each(f),
+            Op::Affine { x, w, b, .. } => {
+                f(*x);
+                f(*w);
+                f(*b);
+            }
+            Op::Affine2 { x, w, h, u, b, .. } => {
+                f(*x);
+                f(*w);
+                f(*h);
+                f(*u);
+                f(*b);
+            }
+        }
+    }
+}
+
 /// Whether a node's gradient outlives a backward sweep: only
 /// grad-tracking leaves (parameters, differentiated inputs) qualify.
 /// Every other gradient is dead once its node has been propagated, and
@@ -269,9 +320,32 @@ pub(crate) fn keeps_grad(op: &Op) -> bool {
     matches!(op, Op::Leaf(LeafKind::Data { grad: true }))
 }
 
+/// The requires-grad rule: a node needs a gradient only if it is a
+/// grad-tracking leaf or one of its inputs needs one. Constants, zeros,
+/// filled targets and `detach` nodes never do, and neither does
+/// anything computed purely from them. A gradient flowing into such a
+/// node can never reach a grad-tracking leaf, so both engines skip
+/// every edge into it: no kept gradient loses a term, and the
+/// accumulation order of every kept gradient is unchanged.
+fn requires_grad(nodes: &[Node], op: &Op) -> bool {
+    match op {
+        Op::Leaf(_) => keeps_grad(op),
+        Op::Detach(_) => false,
+        _ => {
+            let mut any = false;
+            op.for_each_input(|id| any |= nodes[id.0].needs_grad);
+            any
+        }
+    }
+}
+
 pub(crate) struct Node {
     pub(crate) value: Matrix,
     pub(crate) op: Op,
+    /// [`requires_grad`] of this node, fixed when it is recorded. A
+    /// replayed step re-declares the same ops and leaf kinds, so the
+    /// flag holds for every step a plan replays.
+    pub(crate) needs_grad: bool,
 }
 
 /// Plan-execution state: either plain recording, or replaying a
@@ -445,7 +519,7 @@ impl Tape {
         let (cursor, watermark) = (r.cursor, r.watermark);
         for i in watermark..cursor {
             if !matches!(self.nodes[i].op, Op::Leaf(_)) {
-                crate::plan::exec_node(&mut self.nodes, i, &mut self.pool, &crate::plan::EMPTY_PACKS);
+                crate::plan::exec_node(&mut self.nodes, i, &mut self.pool);
             }
         }
         for node in self.nodes.drain(cursor..) {
@@ -484,7 +558,12 @@ impl Tape {
 
     fn push(&mut self, value: Matrix, op: Op) -> VarId {
         debug_assert!(value.all_finite(), "non-finite value produced by {op:?}");
-        self.nodes.push(Node { value, op });
+        let needs_grad = requires_grad(&self.nodes, &op);
+        self.nodes.push(Node {
+            value,
+            op,
+            needs_grad,
+        });
         VarId(self.nodes.len() - 1)
     }
 
@@ -581,8 +660,7 @@ impl Tape {
     }
 
     /// Like [`Tape::leaf`] for non-trainable data. The gradient of a
-    /// constant is never read, so the compiled backward plan skips
-    /// computing it (the interpreter still does).
+    /// constant is never read, so no backward sweep computes it.
     pub fn constant(&mut self, value: Matrix) -> VarId {
         let kind = LeafKind::Data { grad: false };
         if self.replaying() {
@@ -594,8 +672,8 @@ impl Tape {
     }
 
     /// Like [`Tape::leaf_copy`] for non-trainable data (minibatches,
-    /// targets); gradient edges into it are pruned from compiled
-    /// backward plans.
+    /// targets, frozen parameters); no backward sweep computes its
+    /// gradient.
     pub fn constant_copy(&mut self, value: &Matrix) -> VarId {
         let kind = LeafKind::Data { grad: false };
         if self.replaying() {
@@ -678,7 +756,7 @@ impl Tape {
             );
             for i in r.watermark..=id.0 {
                 if !matches!(self.nodes[i].op, Op::Leaf(_)) {
-                    crate::plan::exec_node(&mut self.nodes, i, &mut self.pool, &crate::plan::EMPTY_PACKS);
+                    crate::plan::exec_node(&mut self.nodes, i, &mut self.pool);
                 }
             }
             r.watermark = r.watermark.max(id.0 + 1);
@@ -1184,7 +1262,9 @@ impl Tape {
     /// kept — the set a replayed plan keeps. Every other gradient
     /// returns to the pool once it has been propagated, so later nodes
     /// of the sweep reuse its buffer and a sweep never holds one
-    /// gradient per node.
+    /// gradient per node. Nodes that need no gradient under the
+    /// requires-grad rule (constants, frozen parameters, anything
+    /// computed only from them) are never reached at all.
     ///
     /// Gradient accumulators are pooled buffers, and every op's
     /// backward either writes its delta into a pooled temporary and
@@ -1233,33 +1313,55 @@ impl Tape {
         self.grads.resize_with(n, || None);
 
         let Tape { nodes, grads, pool, .. } = self;
+        let nodes: &[Node] = nodes;
         let mut seed = pool.take_uninit(1, 1);
         seed.fill(1.0);
         grads[loss.0] = Some(seed);
+        // Edges into nodes that need no gradient are skipped, so the
+        // only such node a sweep can reach is the loss itself. Every
+        // input of a reached unary op therefore needs its gradient;
+        // multi-input ops check each edge.
+        let need = |id: VarId| nodes[id.0].needs_grad;
 
         for i in (0..n).rev() {
             let Some(g) = grads[i].take() else { continue };
+            if !nodes[i].needs_grad {
+                pool.put(g);
+                continue;
+            }
             match &nodes[i].op {
                 Op::Leaf(_) => {}
                 Op::Detach(_) => {}
                 Op::Add(a, b) => {
-                    Self::acc_ref(grads, nodes, pool, *a, &g);
-                    Self::acc_ref(grads, nodes, pool, *b, &g);
+                    if need(*a) {
+                        Self::acc_ref(grads, nodes, pool, *a, &g);
+                    }
+                    if need(*b) {
+                        Self::acc_ref(grads, nodes, pool, *b, &g);
+                    }
                 }
                 Op::Sub(a, b) => {
-                    Self::acc_ref(grads, nodes, pool, *a, &g);
-                    let mut d = pool.take_uninit(g.rows(), g.cols());
-                    g.map_into(|x| -x, &mut d);
-                    Self::acc(grads, nodes, pool, *b, d);
+                    if need(*a) {
+                        Self::acc_ref(grads, nodes, pool, *a, &g);
+                    }
+                    if need(*b) {
+                        let mut d = pool.take_uninit(g.rows(), g.cols());
+                        g.map_into(|x| -x, &mut d);
+                        Self::acc(grads, nodes, pool, *b, d);
+                    }
                 }
                 Op::Mul(a, b) => {
                     let (a, b) = (*a, *b);
-                    let mut da = pool.take_uninit(g.rows(), g.cols());
-                    g.zip_map_into(&nodes[b.0].value, |gi, bi| gi * bi, &mut da);
-                    Self::acc(grads, nodes, pool, a, da);
-                    let mut db = pool.take_uninit(g.rows(), g.cols());
-                    g.zip_map_into(&nodes[a.0].value, |gi, ai| gi * ai, &mut db);
-                    Self::acc(grads, nodes, pool, b, db);
+                    if need(a) {
+                        let mut da = pool.take_uninit(g.rows(), g.cols());
+                        g.zip_map_into(&nodes[b.0].value, |gi, bi| gi * bi, &mut da);
+                        Self::acc(grads, nodes, pool, a, da);
+                    }
+                    if need(b) {
+                        let mut db = pool.take_uninit(g.rows(), g.cols());
+                        g.zip_map_into(&nodes[a.0].value, |gi, ai| gi * ai, &mut db);
+                        Self::acc(grads, nodes, pool, b, db);
+                    }
                 }
                 Op::Neg(a) => {
                     let mut d = pool.take_uninit(g.rows(), g.cols());
@@ -1275,10 +1377,14 @@ impl Tape {
                 Op::AddScalar(a, _) => Self::acc_ref(grads, nodes, pool, *a, &g),
                 Op::Matmul(a, b) => {
                     let (a, b) = (*a, *b);
-                    let ga = Self::grad_slot(grads, nodes, pool, a);
-                    g.matmul_t_acc_into(&nodes[b.0].value, ga);
-                    let gb = Self::grad_slot(grads, nodes, pool, b);
-                    nodes[a.0].value.t_matmul_acc_into(&g, gb);
+                    if need(a) {
+                        let ga = Self::grad_slot(grads, nodes, pool, a);
+                        g.matmul_t_acc_into(&nodes[b.0].value, ga);
+                    }
+                    if need(b) {
+                        let gb = Self::grad_slot(grads, nodes, pool, b);
+                        nodes[a.0].value.t_matmul_acc_into(&g, gb);
+                    }
                 }
                 Op::Sigmoid(a) => {
                     let a = *a;
@@ -1372,53 +1478,60 @@ impl Tape {
                 }
                 Op::AddRowBroadcast(a, row) => {
                     let (a, row) = (*a, *row);
-                    Self::acc_ref(grads, nodes, pool, a, &g);
-                    // bias grad: column sums of g
-                    let gr = Self::grad_slot(grads, nodes, pool, row);
-                    g.col_sums_acc_into(gr);
+                    if need(a) {
+                        Self::acc_ref(grads, nodes, pool, a, &g);
+                    }
+                    if need(row) {
+                        // bias grad: column sums of g
+                        let gr = Self::grad_slot(grads, nodes, pool, row);
+                        g.col_sums_acc_into(gr);
+                    }
                 }
                 Op::MulRowBroadcast(a, row) => {
                     let (a, row) = (*a, *row);
-                    let mut da = pool.take_uninit(g.rows(), g.cols());
-                    {
+                    if need(a) {
+                        let mut da = pool.take_uninit(g.rows(), g.cols());
                         let rv = &nodes[row.0].value;
                         for r in 0..g.rows() {
-                            for (o, (&gi, &sv)) in da
-                                .row_mut(r)
-                                .iter_mut()
-                                .zip(g.row(r).iter().zip(rv.row(0)))
+                            for (o, (&gi, &sv)) in
+                                da.row_mut(r).iter_mut().zip(g.row(r).iter().zip(rv.row(0)))
                             {
                                 *o = gi * sv;
                             }
                         }
+                        Self::acc(grads, nodes, pool, a, da);
                     }
-                    Self::acc(grads, nodes, pool, a, da);
-                    let x_id = a;
-                    let grow = Self::grad_slot(grads, nodes, pool, row);
-                    let x = &nodes[x_id.0].value;
-                    for r in 0..g.rows() {
-                        for (o, (&gi, &xi)) in grow
-                            .row_mut(0)
-                            .iter_mut()
-                            .zip(g.row(r).iter().zip(x.row(r)))
-                        {
-                            *o += gi * xi;
+                    if need(row) {
+                        let grow = Self::grad_slot(grads, nodes, pool, row);
+                        let x = &nodes[a.0].value;
+                        for r in 0..g.rows() {
+                            for (o, (&gi, &xi)) in grow
+                                .row_mut(0)
+                                .iter_mut()
+                                .zip(g.row(r).iter().zip(x.row(r)))
+                            {
+                                *o += gi * xi;
+                            }
                         }
                     }
                 }
                 Op::ConcatCols(a, b) => {
                     let (a, b) = (*a, *b);
                     let ca = nodes[a.0].value.cols();
-                    let ga = Self::grad_slot(grads, nodes, pool, a);
-                    for r in 0..g.rows() {
-                        for (o, &v) in ga.row_mut(r).iter_mut().zip(&g.row(r)[..ca]) {
-                            *o += v;
+                    if need(a) {
+                        let ga = Self::grad_slot(grads, nodes, pool, a);
+                        for r in 0..g.rows() {
+                            for (o, &v) in ga.row_mut(r).iter_mut().zip(&g.row(r)[..ca]) {
+                                *o += v;
+                            }
                         }
                     }
-                    let gb = Self::grad_slot(grads, nodes, pool, b);
-                    for r in 0..g.rows() {
-                        for (o, &v) in gb.row_mut(r).iter_mut().zip(&g.row(r)[ca..]) {
-                            *o += v;
+                    if need(b) {
+                        let gb = Self::grad_slot(grads, nodes, pool, b);
+                        for r in 0..g.rows() {
+                            for (o, &v) in gb.row_mut(r).iter_mut().zip(&g.row(r)[ca..]) {
+                                *o += v;
+                            }
                         }
                     }
                 }
@@ -1432,14 +1545,15 @@ impl Tape {
                     }
                 }
                 Op::ConcatRows(parts) => {
-                    let parts = parts.clone();
                     let mut offset = 0;
-                    for p in parts {
+                    for &p in parts {
                         let rows = nodes[p.0].value.rows();
-                        let gp = Self::grad_slot(grads, nodes, pool, p);
-                        for r in 0..rows {
-                            for (o, &v) in gp.row_mut(r).iter_mut().zip(g.row(offset + r)) {
-                                *o += v;
+                        if need(p) {
+                            let gp = Self::grad_slot(grads, nodes, pool, p);
+                            for r in 0..rows {
+                                for (o, &v) in gp.row_mut(r).iter_mut().zip(g.row(offset + r)) {
+                                    *o += v;
+                                }
                             }
                         }
                         offset += rows;
@@ -1503,15 +1617,15 @@ impl Tape {
                         Some(d)
                     };
                     let dz = dz_buf.as_ref().unwrap_or(&g);
-                    {
+                    if need(x) {
                         let gx = Self::grad_slot(grads, nodes, pool, x);
                         dz.matmul_t_acc_into(&nodes[w.0].value, gx);
                     }
-                    {
+                    if need(w) {
                         let gw = Self::grad_slot(grads, nodes, pool, w);
                         nodes[x.0].value.t_matmul_acc_into(dz, gw);
                     }
-                    {
+                    if need(b) {
                         let gb = Self::grad_slot(grads, nodes, pool, b);
                         dz.col_sums_acc_into(gb);
                     }
@@ -1529,23 +1643,23 @@ impl Tape {
                         Some(d)
                     };
                     let dz = dz_buf.as_ref().unwrap_or(&g);
-                    {
+                    if need(x) {
                         let gx = Self::grad_slot(grads, nodes, pool, x);
                         dz.matmul_t_acc_into(&nodes[w.0].value, gx);
                     }
-                    {
+                    if need(w) {
                         let gw = Self::grad_slot(grads, nodes, pool, w);
                         nodes[x.0].value.t_matmul_acc_into(dz, gw);
                     }
-                    {
+                    if need(h) {
                         let gh = Self::grad_slot(grads, nodes, pool, h);
                         dz.matmul_t_acc_into(&nodes[u.0].value, gh);
                     }
-                    {
+                    if need(u) {
                         let gu = Self::grad_slot(grads, nodes, pool, u);
                         nodes[h.0].value.t_matmul_acc_into(dz, gu);
                     }
-                    {
+                    if need(b) {
                         let gb = Self::grad_slot(grads, nodes, pool, b);
                         dz.col_sums_acc_into(gb);
                     }

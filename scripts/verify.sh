@@ -5,12 +5,13 @@
 # Tier 2: full workspace tests at one and four pool threads and with
 #         the compiled plan on and off, the golden-value suite (also
 #         under TSGB_EVAL_CACHE=on), the model-based golden fixture
-#         (threads 1/4 x plan on/off), the serve, monitor, and
-#         sharded-router smoke legs (including a worker-kill fault
-#         drill and a drift-injection drill), the scenario smoke leg
-#         (streamed chunks + conditional identity + the scenario
-#         engine end-to-end with its golden fixtures), and a
-#         warning-free clippy pass.
+#         (threads 1/4 x plan on/off), the GAN-fit golden fixture and
+#         GEMM identity tests (GEMM band/packed x plan on/off), the
+#         serve, monitor, and sharded-router smoke legs (including a
+#         worker-kill fault drill and a drift-injection drill), the
+#         scenario smoke leg (streamed chunks + conditional identity +
+#         the scenario engine end-to-end with its golden fixtures), and
+#         a warning-free clippy pass.
 #
 #   scripts/verify.sh          # tier 1 + tier 2
 #   scripts/verify.sh --quick  # tier 1 only
@@ -50,6 +51,20 @@ if [[ "${1:-}" != "--quick" ]]; then
         for threads in 1 4; do
             TSGB_PLAN=$plan TSGB_THREADS=$threads \
                 cargo test -p tsgb-eval --test golden_model_based -q
+        done
+    done
+
+    # the GAN fits (frozen bindings, requires-grad pruning) and the
+    # sub-threshold direct GEMM must keep their pinned bits under either
+    # process default of the GEMM path and of plan compilation (the
+    # tests also cross both modes internally)
+    echo "==> tier 2: GAN golden fixture + GEMM identity (TSGB_GEMM=band/packed x TSGB_PLAN=on/off)"
+    for gemm in band packed; do
+        for plan in on off; do
+            TSGB_GEMM=$gemm TSGB_PLAN=$plan \
+                cargo test -p tsgb-methods --test golden_gan_fits -q
+            TSGB_GEMM=$gemm TSGB_PLAN=$plan \
+                cargo test -p tsgb-linalg --test gemm_identity -q
         done
     done
 
