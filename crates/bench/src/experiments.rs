@@ -4,7 +4,8 @@
 //! them at tiny scale.
 
 use std::path::{Path, PathBuf};
-use tsgb_data::domain::{DaScale, DaTask};
+use tsgb_data::domain::{DaData, DaScale, DaTask};
+use tsgb_data::pipeline::PreprocessedDataset;
 use tsgb_data::sine;
 use tsgb_data::spec::DatasetSpec;
 use tsgb_eval::distplot::DistPlot;
@@ -13,6 +14,7 @@ use tsgb_eval::suite::{self, EvalConfig, Measure};
 use tsgb_eval::survey;
 use tsgb_eval::tsne::{self, TsneConfig};
 use tsgb_linalg::rng::seeded;
+use tsgb_linalg::Matrix;
 use tsgb_methods::common::MethodId;
 use tsgb_methods::taxonomy;
 use tsgb_stats::critdiff::{critical_difference, CriticalDifference};
@@ -229,48 +231,65 @@ pub fn figure5(ctx: &ExperimentCtx) -> (GridResult, Vec<(Measure, TextTable)>) {
 /// (method, dataset) cell of an existing grid, plus CSV point clouds
 /// for external plotting.
 pub fn figure6(ctx: &ExperimentCtx, grid: &GridResult) -> TextTable {
-    let mut t = TextTable::new(&[
-        "Method",
-        "Dataset",
-        "t-SNE NN overlap",
-        "DistPlot divergence",
-    ]);
+    let cfg = TsneConfig {
+        iterations: 120,
+        ..TsneConfig::default()
+    };
+    // reference data: rematerialize each dataset used by the grid, once
+    let data: Vec<PreprocessedDataset> = grid
+        .datasets
+        .iter()
+        .map(|name| {
+            DatasetSpec::all()
+                .into_iter()
+                .find(|s| s.name == name)
+                .expect("dataset known")
+                .scaled(grid.max_r)
+                .with_max_len(grid.max_l)
+                .materialize(ctx.bench.seed)
+        })
+        .collect();
+    // (dataset index, windows compared) per cell
+    let sizes: Vec<(usize, usize)> = grid
+        .cells
+        .iter()
+        .map(|cell| {
+            let d = grid
+                .datasets
+                .iter()
+                .position(|name| name == &cell.dataset)
+                .expect("cell dataset is a grid dataset");
+            let take = data[d]
+                .train
+                .samples()
+                .min(cell.report.generated.samples())
+                .min(60);
+            (d, take)
+        })
+        .collect();
+    // the t-SNE inits are the only draws from the shared stream: take
+    // them in cell order, then the cells are independent
     let mut rng = seeded(ctx.bench.seed ^ 0xF16);
-    for cell in &grid.cells {
-        // reference data: rematerialize the dataset used by the grid
-        let spec = DatasetSpec::all()
-            .into_iter()
-            .find(|s| s.name == cell.dataset)
-            .expect("dataset known");
-        let data = spec
-            .scaled(grid.max_r)
-            .with_max_len(grid.max_l)
-            .materialize(ctx.bench.seed);
-        let gen = &cell.report.generated;
-        let take = data.train.samples().min(gen.samples()).min(60);
-        let real_sub = data.train.slice_samples(0, take);
-        let gen_sub = gen.slice_samples(0, take);
-        let cfg = TsneConfig {
-            iterations: 120,
-            ..TsneConfig::default()
-        };
-        let emb = tsne::tsne_joint(&real_sub, &gen_sub, &cfg, &mut rng);
+    let inits: Vec<Matrix> = sizes
+        .iter()
+        .map(|&(_, take)| tsne::tsne_init(2 * take, &mut rng))
+        .collect();
+    let rows = tsgb_par::parallel_map(grid.cells.len(), |i| {
+        let cell = &grid.cells[i];
+        let (d, take) = sizes[i];
+        let real_sub = data[d].train.slice_samples(0, take);
+        let gen_sub = cell.report.generated.slice_samples(0, take);
+        let emb = tsne::tsne_joint_from_init(&real_sub, &gen_sub, &cfg, &inits[i]);
         let overlap = tsne::nn_overlap(&emb);
         let plot = DistPlot::new(&real_sub, &gen_sub, 100);
-        t.row(vec![
-            cell.method.name().to_string(),
-            cell.dataset.clone(),
-            format!("{overlap:.3}"),
-            format!("{:.3}", plot.divergence()),
-        ]);
 
         // export the embedding points for plotting
         let mut pts = TextTable::new(&["x", "y", "origin"]);
-        for i in 0..emb.points.rows() {
+        for p in 0..emb.points.rows() {
             pts.row(vec![
-                format!("{:.4}", emb.points[(i, 0)]),
-                format!("{:.4}", emb.points[(i, 1)]),
-                if i < emb.n_real {
+                format!("{:.4}", emb.points[(p, 0)]),
+                format!("{:.4}", emb.points[(p, 1)]),
+                if p < emb.n_real {
                     "real".into()
                 } else {
                     "generated".into()
@@ -285,6 +304,21 @@ pub fn figure6(ctx: &ExperimentCtx, grid: &GridResult) -> TextTable {
             ),
             &pts,
         );
+        vec![
+            cell.method.name().to_string(),
+            cell.dataset.clone(),
+            format!("{overlap:.3}"),
+            format!("{:.3}", plot.divergence()),
+        ]
+    });
+    let mut t = TextTable::new(&[
+        "Method",
+        "Dataset",
+        "t-SNE NN overlap",
+        "DistPlot divergence",
+    ]);
+    for row in rows {
+        t.row(row);
     }
     ctx.save("figure6_summary.csv", &t);
     t
@@ -308,11 +342,14 @@ pub fn figure7(ctx: &ExperimentCtx) -> (Vec<DaCell>, TextTable) {
             ..DaScale::full()
         },
     };
-    let mut cells = Vec::new();
-    for task in DaTask::all() {
-        let data = task.materialize(&scale, ctx.bench.seed);
-        cells.extend(ctx.bench.run_da_task(&task, &data, &methods));
-    }
+    let tasks: Vec<(DaTask, DaData)> = DaTask::all()
+        .into_iter()
+        .map(|task| {
+            let data = task.materialize(&scale, ctx.bench.seed);
+            (task, data)
+        })
+        .collect();
+    let cells = ctx.bench.run_da_tasks(&tasks, &methods);
     let mut t = TextTable::new(&["Task", "Method", "Scenario", "ED", "DTW", "MDD", "Time (s)"]);
     for c in &cells {
         let g = |m: Measure| {
@@ -591,5 +628,105 @@ mod tests {
         assert_eq!(t8.len(), 2);
         let t6 = figure6(&ctx, &grid);
         assert_eq!(t6.len(), grid.cells.len());
+    }
+
+    /// A reduced context writing under its own directory: the figure-6
+    /// point clouds of two runs must not overwrite each other.
+    fn reduced_ctx(tag: &str) -> ExperimentCtx {
+        let dir = std::env::temp_dir().join(format!("tsgb_experiments_{tag}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create output dir");
+        let mut ctx = ExperimentCtx::new(Scale::Smoke, &dir);
+        ctx.bench.ckpt_dir = None;
+        ctx.methods = vec![MethodId::TimeVae, MethodId::CosciGan];
+        ctx
+    }
+
+    /// Figure 6's rendered table and point-cloud CSVs, over the
+    /// two-dataset grid of [`reduced_ctx`].
+    fn figure6_outputs(ctx: &ExperimentCtx) -> (String, Vec<(String, Vec<u8>)>) {
+        let specs: Vec<DatasetSpec> = DatasetSpec::all().into_iter().take(2).collect();
+        let grid = ctx.bench.run_grid(&ctx.methods, &specs, 16, 8);
+        let table = figure6(ctx, &grid).render();
+        let mut clouds: Vec<(String, Vec<u8>)> = std::fs::read_dir(&ctx.out_dir)
+            .expect("read output dir")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| {
+                p.file_name()
+                    .is_some_and(|n| n.to_string_lossy().starts_with("figure6_tsne_"))
+            })
+            .map(|p| {
+                let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&p).expect("read point cloud"))
+            })
+            .collect();
+        clouds.sort();
+        (table, clouds)
+    }
+
+    #[test]
+    fn figure6_and_figure7_are_thread_count_independent() {
+        let runs: Vec<_> = [1, 4]
+            .into_iter()
+            .map(|threads| {
+                tsgb_par::with_threads(threads, || {
+                    let ctx = reduced_ctx(&format!("fig67_t{threads}"));
+                    let f6 = figure6_outputs(&ctx);
+                    let (cells, _) = figure7(&ctx);
+                    let scores: Vec<(String, u64, u64)> = cells
+                        .iter()
+                        .flat_map(|c| {
+                            c.report
+                                .scores
+                                .iter()
+                                .filter(|(m, _)| *m != Measure::TrainTime)
+                                .map(move |(m, s)| {
+                                    (
+                                        format!(
+                                            "{} {} {} {}",
+                                            c.task.label(),
+                                            c.method.name(),
+                                            c.scenario.label(),
+                                            m.label()
+                                        ),
+                                        s.mean.to_bits(),
+                                        s.std.to_bits(),
+                                    )
+                                })
+                        })
+                        .collect();
+                    (f6, scores)
+                })
+            })
+            .collect();
+        let ((table1, clouds1), scores1) = &runs[0];
+        let ((table4, clouds4), scores4) = &runs[1];
+        assert_eq!(table1, table4, "figure 6 table moved with the thread count");
+        assert_eq!(clouds1.len(), 4, "one point cloud per grid cell");
+        assert_eq!(
+            clouds1, clouds4,
+            "figure 6 point clouds moved with the thread count"
+        );
+        assert_eq!(scores1.len(), scores4.len());
+        assert!(!scores1.is_empty());
+        assert_eq!(
+            scores1, scores4,
+            "figure 7 scores moved with the thread count"
+        );
+        // the t-SNE init split keeps the stream the single-call t-SNE
+        // drew from: table and point clouds match the ones pinned
+        // before the split (exact mode; Barnes-Hut embeds differently)
+        if tsne::TsneMode::from_env() == tsne::TsneMode::Exact {
+            let mut pinned = table1.clone();
+            for (name, bytes) in clouds1 {
+                pinned.push_str(&format!("# {name}\n"));
+                pinned.push_str(std::str::from_utf8(bytes).expect("CSV is UTF-8"));
+            }
+            assert_eq!(
+                pinned,
+                include_str!("../tests/fixtures/figure6_reduced.txt"),
+                "figure 6 moved from its pinned output"
+            );
+        }
     }
 }

@@ -333,15 +333,8 @@ fn evaluate_inner(
             .flat_map(|&m| (0..cfg.repeats).map(move |_| m))
             .map(|m| (m, rng.gen()))
             .collect();
-        // `parallel_map` hands each worker a contiguous run of indices,
-        // so the jobs run repeat-major (DS, PS, .., C-FID of repeat 0,
-        // then of repeat 1, ..): every worker gets a similar mix of the
-        // costly fits instead of one taking every DS fit. `job(k)` maps
-        // the k-th scheduled slot back to its measure-major job.
-        let n_measures = measures.len();
-        let job = |k: usize| (k % n_measures) * cfg.repeats + k / n_measures;
-        let scheduled = tsgb_par::parallel_map(jobs.len(), |k| {
-            let (measure, seed) = jobs[job(k)];
+        let vals = tsgb_par::parallel_map(jobs.len(), |k| {
+            let (measure, seed) = jobs[k];
             // per-job parameter hash: config digest plus the job's seed
             let p = {
                 let mut h = Fnv64::new();
@@ -409,10 +402,6 @@ fn evaluate_inner(
                 })
             })
         });
-        let mut vals = vec![0.0; jobs.len()];
-        for (k, v) in scheduled.into_iter().enumerate() {
-            vals[job(k)] = v;
-        }
         for (mi, &measure) in measures.iter().enumerate() {
             let repeats = &vals[mi * cfg.repeats..(mi + 1) * cfg.repeats];
             let (m, s) = model_based::mean_std(repeats);

@@ -107,10 +107,22 @@ pub fn tsne_joint(
     cfg: &TsneConfig,
     rng: &mut SmallRng,
 ) -> TsneEmbedding {
+    let y0 = tsne_init(real.samples() + generated.samples(), rng);
+    tsne_joint_from_init(real, generated, cfg, &y0)
+}
+
+/// [`tsne_joint`] from a given initial embedding (see
+/// [`tsne_from_init`]); draws no random numbers.
+pub fn tsne_joint_from_init(
+    real: &Tensor3,
+    generated: &Tensor3,
+    cfg: &TsneConfig,
+    y0: &Matrix,
+) -> TsneEmbedding {
     let a = real.flatten_samples();
     let b = generated.flatten_samples();
     let x = a.vcat(&b);
-    let points = tsne(&x, cfg, rng);
+    let points = tsne_from_init(&x, cfg, y0);
     TsneEmbedding {
         points,
         n_real: real.samples(),
@@ -121,9 +133,30 @@ pub fn tsne_joint(
 /// `cfg.mode`. Both modes share the perplexity calibration and the
 /// random initialization, so the same seed feeds both identically.
 pub fn tsne(x: &Matrix, cfg: &TsneConfig, rng: &mut SmallRng) -> Matrix {
+    let y0 = tsne_init(x.rows(), rng);
+    tsne_from_init(x, cfg, &y0)
+}
+
+/// The random initial embedding of `n` points: `(n, 2)` draws of
+/// `N(0, 1e-4)`, row by row. This is the only randomness t-SNE uses,
+/// so drawing every run's init up front lets the optimizations run in
+/// any order (or in parallel) without moving a bit.
+pub fn tsne_init(n: usize, rng: &mut SmallRng) -> Matrix {
+    Matrix::from_fn(n, 2, |_, _| randn(rng) * 1e-2)
+}
+
+/// t-SNE of the rows of `x` from the initial embedding `y0` (one row
+/// per row of `x`, two columns; see [`tsne_init`]). Deterministic: it
+/// draws no random numbers.
+pub fn tsne_from_init(x: &Matrix, cfg: &TsneConfig, y0: &Matrix) -> Matrix {
     let _total = tsgb_obs::span("eval.tsne");
     let n = x.rows();
     assert!(n >= 4, "t-SNE needs at least four points");
+    assert_eq!(
+        (y0.rows(), y0.cols()),
+        (n, 2),
+        "the initial embedding must be (rows of x, 2)"
+    );
     let perplexity = cfg.perplexity.min((n as f64 - 1.0) / 3.0).max(2.0);
 
     let pj = {
@@ -131,10 +164,7 @@ pub fn tsne(x: &Matrix, cfg: &TsneConfig, rng: &mut SmallRng) -> Matrix {
         joint_affinities(x, perplexity)
     };
 
-    // init and optimize
-    let mut y: Vec<[f64; 2]> = (0..n)
-        .map(|_| [randn(rng) * 1e-2, randn(rng) * 1e-2])
-        .collect();
+    let mut y: Vec<[f64; 2]> = (0..n).map(|r| [y0[(r, 0)], y0[(r, 1)]]).collect();
     {
         let _optimize = tsgb_obs::span("eval.tsne.optimize");
         match cfg.mode {

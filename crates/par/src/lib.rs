@@ -9,7 +9,10 @@
 //!    output, so results are bit-identical no matter how many worker
 //!    threads run — including one (inline execution). Reductions over
 //!    parallel results must fold the returned `Vec` in index order,
-//!    which callers get for free from [`parallel_map`].
+//!    which callers get for free from [`parallel_map`]. Workers claim
+//!    indices one at a time from a shared counter, so uneven job costs
+//!    balance themselves; the claim order decides only which thread
+//!    computes a slot, never what lands in it.
 //! 2. **Zero dependencies.** Built on [`std::thread::scope`]; worker
 //!    threads borrow the caller's data directly, no channels or arcs.
 //! 3. **No oversubscription.** Worker closures run with the pool size
@@ -24,6 +27,8 @@
 //! compare thread counts without touching the process environment.
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 thread_local! {
     /// 0 = no override; otherwise the forced pool size for this thread.
@@ -92,119 +97,102 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Contiguous task ranges for `n` tasks over `threads` workers; the
-/// chunking depends only on `(n, threads)`, never on timing.
-fn chunk_ranges(n: usize, threads: usize) -> Vec<(usize, usize)> {
-    let chunk = n.div_ceil(threads);
-    (0..threads)
-        .map(|t| (t * chunk, ((t + 1) * chunk).min(n)))
-        .filter(|(s, e)| s < e)
-        .collect()
-}
-
 /// Maps `f` over `0..n` and returns the results in index order.
 ///
 /// Output slot `i` always holds `f(i)`; with the pool sized at 1 (or
 /// `n <= 1`) the whole map runs inline on the calling thread. Worker
 /// threads run `f` with nested parallelism disabled.
+///
+/// Workers claim indices dynamically: each takes the next unclaimed
+/// index from a shared counter, so a slow job delays only the worker
+/// running it. Which worker runs an index is timing-dependent, but
+/// where its result lands is not. If a job panics, the other workers
+/// stop claiming new indices and the caller re-raises the panic's
+/// original payload (the lowest-numbered panicking worker's, if
+/// several panicked).
 pub fn parallel_map<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     let threads = max_threads().min(n);
     if threads <= 1 {
         return (0..n).map(f).collect();
     }
-    let ranges = chunk_ranges(n, threads);
-    let mut chunks: Vec<Vec<R>> = Vec::with_capacity(ranges.len());
+    // the next unclaimed index; `Relaxed` suffices because the counter
+    // publishes no data: results travel back through `join`
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        // on unwind, end the claiming for every worker
+        struct StopOnPanic<'a>(&'a AtomicUsize, usize);
+        impl Drop for StopOnPanic<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.store(self.1, Ordering::Relaxed);
+                }
+            }
+        }
+        let _stop = StopOnPanic(&next, n);
+        with_threads(1, || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    return done;
+                }
+                done.push((i, f(i)));
+            }
+        })
+    };
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let mut panic = None;
     std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(start, end)| {
-                let f = &f;
-                s.spawn(move || with_threads(1, || (start..end).map(f).collect::<Vec<R>>()))
-            })
-            .collect();
+        let handles: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
         for h in handles {
-            chunks.push(h.join().expect("tsgb-par worker panicked"));
+            match h.join() {
+                Ok(done) => {
+                    for (i, r) in done {
+                        slots[i] = Some(r);
+                    }
+                }
+                Err(payload) => {
+                    panic.get_or_insert(payload);
+                }
+            }
         }
     });
-    chunks.into_iter().flatten().collect()
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
+    }
+    slots
+        .into_iter()
+        .map(|r| r.expect("every index is claimed exactly once"))
+        .collect()
 }
 
-/// Runs `f(i)` for every `i` in `0..n`, in parallel. Use only for
+/// Runs `f(i)` for every `i` in `0..n`, in parallel, on the same
+/// claiming schedule as [`parallel_map`]. Use only for
 /// side-effect-free-per-index work (e.g. filling disjoint interior
 /// state through `&self`); for output collection use [`parallel_map`],
 /// for disjoint mutation use [`parallel_chunks_mut`].
 pub fn parallel_for(n: usize, f: impl Fn(usize) + Sync) {
-    let threads = max_threads().min(n);
-    if threads <= 1 {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    let ranges = chunk_ranges(n, threads);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(start, end)| {
-                let f = &f;
-                s.spawn(move || {
-                    with_threads(1, || {
-                        for i in start..end {
-                            f(i);
-                        }
-                    })
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("tsgb-par worker panicked");
-        }
-    });
+    parallel_map(n, f);
 }
 
 /// Splits `data` into consecutive `chunk_len`-sized pieces (the last
 /// may be shorter) and calls `f(chunk_index, chunk)` on each, in
 /// parallel. Chunk `i` always covers `data[i*chunk_len ..]` — the
 /// partition is independent of the thread count, so writes land in
-/// identical places no matter how the chunks are scheduled.
+/// identical places no matter how the chunks are scheduled. Chunks are
+/// claimed one at a time through [`parallel_for`]; each sits behind
+/// its own (never contended) lock, the safe way to hand a `&mut`
+/// slice to whichever worker claims its index.
 pub fn parallel_chunks_mut<T: Send>(
     data: &mut [T],
     chunk_len: usize,
     f: impl Fn(usize, &mut [T]) + Sync,
 ) {
     assert!(chunk_len > 0, "chunk_len must be positive");
-    if data.is_empty() {
-        return;
-    }
-    let n_chunks = data.len().div_ceil(chunk_len);
-    let threads = max_threads().min(n_chunks);
-    if threads <= 1 {
-        for (i, c) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, c);
-        }
-        return;
-    }
-    // hand each worker a contiguous run of whole chunks
-    let ranges = chunk_ranges(n_chunks, threads);
-    std::thread::scope(|s| {
-        let mut rest = data;
-        let mut handles = Vec::with_capacity(ranges.len());
-        for &(start, end) in &ranges {
-            let bytes = ((end - start) * chunk_len).min(rest.len());
-            let (head, tail) = rest.split_at_mut(bytes);
-            rest = tail;
-            let f = &f;
-            handles.push(s.spawn(move || {
-                with_threads(1, || {
-                    for (j, c) in head.chunks_mut(chunk_len).enumerate() {
-                        f(start + j, c);
-                    }
-                })
-            }));
-        }
-        for h in handles {
-            h.join().expect("tsgb-par worker panicked");
-        }
+    let chunks: Vec<Mutex<&mut [T]>> = data.chunks_mut(chunk_len).map(Mutex::new).collect();
+    parallel_for(chunks.len(), |i| {
+        let mut chunk = chunks[i].lock().expect("chunk lock is never poisoned");
+        f(i, &mut chunk)
     });
 }
 
@@ -324,21 +312,118 @@ mod tests {
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
-    #[test]
-    fn chunk_ranges_cover_exactly() {
-        for n in [0usize, 1, 5, 16, 97] {
-            for t in [1usize, 2, 3, 7, 32] {
-                let r = chunk_ranges(n, t);
-                let total: usize = r.iter().map(|(s, e)| e - s).sum();
-                assert_eq!(total, n);
-                let mut expect = 0;
-                for &(s, e) in &r {
-                    assert_eq!(s, expect);
-                    assert!(e > s);
-                    expect = e;
-                }
-                assert_eq!(expect, n.min(expect.max(n)));
-            }
+    /// A job whose cost depends on its index: index `i` spins
+    /// `(i * 7919) % 13` times longer than the cheapest, so a static
+    /// split would leave workers unevenly loaded.
+    fn uneven(i: usize) -> u64 {
+        let mut acc = i as u64;
+        for k in 0..((i * 7919) % 13) * 2_000 {
+            acc =
+                std::hint::black_box(acc.wrapping_mul(6364136223846793005).wrapping_add(k as u64));
         }
+        std::hint::black_box(acc);
+        (i * i) as u64
+    }
+
+    #[test]
+    fn uneven_jobs_return_in_index_order() {
+        let expect: Vec<u64> = (0..61).map(|i| (i * i) as u64).collect();
+        for threads in [1, 2, 3, 8] {
+            let out = with_threads(threads, || parallel_map(61, uneven));
+            assert_eq!(out, expect, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn uneven_jobs_run_every_index_exactly_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for threads in [1, 2, 3, 8] {
+            let hits: Vec<AtomicUsize> = (0..61).map(|_| AtomicUsize::new(0)).collect();
+            with_threads(threads, || {
+                parallel_for(61, |i| {
+                    uneven(i);
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                })
+            });
+            assert!(
+                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                "threads = {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn uneven_jobs_run_nested_calls_inline() {
+        for threads in [2, 3, 8] {
+            let inline = with_threads(threads, || {
+                parallel_map(13, |i| {
+                    uneven(i);
+                    let me = std::thread::current().id();
+                    let nested = parallel_map(5, |j| (std::thread::current().id(), uneven(j)));
+                    max_threads() == 1 && nested.iter().all(|&(id, _)| id == me)
+                })
+            });
+            assert!(inline.iter().all(|&ok| ok), "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn chunks_mut_claims_uneven_chunks() {
+        let fill = |idx: usize, c: &mut [u64]| {
+            let cost = uneven(idx);
+            for (j, v) in c.iter_mut().enumerate() {
+                *v = cost * 1000 + j as u64;
+            }
+        };
+        let mut serial = vec![0u64; 97];
+        with_threads(1, || parallel_chunks_mut(&mut serial, 4, fill));
+        for threads in [2, 3, 8] {
+            let mut par = vec![0u64; 97];
+            with_threads(threads, || parallel_chunks_mut(&mut par, 4, fill));
+            assert_eq!(par, serial, "threads = {threads}");
+        }
+        let mut empty: Vec<u64> = Vec::new();
+        with_threads(4, || parallel_chunks_mut(&mut empty, 4, fill));
+    }
+
+    #[test]
+    #[should_panic(expected = "job 5 failed")]
+    fn worker_panic_reraises_the_original_payload() {
+        with_threads(2, || {
+            parallel_map(16, |i| {
+                if i == 5 {
+                    panic!("job {i} failed");
+                }
+                uneven(i)
+            })
+        });
+    }
+
+    #[test]
+    fn worker_panic_stops_the_claiming() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let ran = AtomicUsize::new(0);
+        let n = 2_000;
+        let caught = std::panic::catch_unwind(|| {
+            with_threads(2, || {
+                parallel_for(n, |i| {
+                    if i == 0 {
+                        panic!("first job failed");
+                    }
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    // slow enough that the surviving worker cannot
+                    // drain the queue before the panic lands
+                    for _ in 0..50 {
+                        uneven(12);
+                    }
+                })
+            })
+        });
+        assert!(caught.is_err());
+        let ran = ran.load(Ordering::Relaxed);
+        assert!(
+            ran < n - 1,
+            "the surviving worker ran all {ran} remaining jobs"
+        );
     }
 }

@@ -10,8 +10,9 @@
 #         serve, monitor, and sharded-router smoke legs (including a
 #         worker-kill fault drill and a drift-injection drill), the
 #         scenario smoke leg (streamed chunks + conditional identity +
-#         the scenario engine end-to-end with its golden fixtures), and
-#         a warning-free clippy pass.
+#         the scenario engine end-to-end with its golden fixtures), a
+#         threads-1-vs-4 byte diff of every smoke `reproduce --all`
+#         artifact, and a warning-free clippy pass.
 #
 #   scripts/verify.sh          # tier 1 + tier 2
 #   scripts/verify.sh --quick  # tier 1 only
@@ -232,6 +233,26 @@ if [[ "${1:-}" != "--quick" ]]; then
     echo "==> tier 2: scenario golden fixtures"
     TSGB_THREADS=1 cargo test -p tsgb-scenario --test golden_scenarios -q
     TSGB_EVAL_CACHE=on cargo test -p tsgb-scenario --test golden_scenarios -q
+
+    # every artifact of a full smoke reproduction (CSVs, point clouds,
+    # checkpoints) must be byte-identical at one pool thread and four;
+    # only the wall-clock fields may differ: figure5_TrainingTime.csv,
+    # the trailing `Time (s)` column of figure7.csv, run_manifest.jsonl
+    echo "==> tier 2: reproduce --all --scale smoke artifacts (TSGB_THREADS=1 vs 4)"
+    cargo build --release -p tsgb-bench --bin reproduce
+    for threads in 1 4; do
+        TSGB_THREADS=$threads ./target/release/reproduce --all --scale smoke \
+            --out "$CKPT_DIR/repro_t$threads" > /dev/null
+    done
+    (
+        cd "$CKPT_DIR"
+        diff <(cd repro_t1 && find . -type f | sort) <(cd repro_t4 && find . -type f | sort) || exit 1
+        for f in $(cd repro_t1 && find . -type f ! -name run_manifest.jsonl \
+            ! -name figure5_TrainingTime.csv ! -name figure7.csv | sort); do
+            cmp "repro_t1/$f" "repro_t4/$f" || exit 1
+        done
+        diff <(sed 's/,[^,]*$//' repro_t1/figure7.csv) <(sed 's/,[^,]*$//' repro_t4/figure7.csv)
+    )
 
     echo "==> tier 2: cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings

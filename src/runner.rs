@@ -224,17 +224,23 @@ impl Benchmark {
         }
     }
 
-    /// Runs the Figure-7 generalization test for one task.
-    pub fn run_da_task(&self, task: &DaTask, data: &DaData, methods: &[MethodId]) -> Vec<DaCell> {
-        // every (method, scenario) cell seeds its own RNG from
-        // (self.seed, method id, scenario), so the cells run in
-        // parallel without affecting any score
-        let jobs: Vec<(MethodId, DaScenario)> = methods
-            .iter()
-            .flat_map(|&mid| DaScenario::ALL.iter().map(move |&s| (mid, s)))
+    /// Runs the Figure-7 generalization test over materialized tasks:
+    /// every (task, method, scenario) cell in one parallel schedule,
+    /// returned task-major (then method, then scenario).
+    pub fn run_da_tasks(&self, tasks: &[(DaTask, DaData)], methods: &[MethodId]) -> Vec<DaCell> {
+        // every cell seeds its own RNG from (self.seed, method id,
+        // scenario), so the cells run in parallel without affecting
+        // any score; one flat schedule leaves no per-task barrier
+        let jobs: Vec<(usize, MethodId, DaScenario)> = (0..tasks.len())
+            .flat_map(|t| {
+                methods
+                    .iter()
+                    .flat_map(move |&mid| DaScenario::ALL.iter().map(move |&s| (t, mid, s)))
+            })
             .collect();
         tsgb_par::parallel_map(jobs.len(), |i| {
-            let (mid, scenario) = jobs[i];
+            let (t, mid, scenario) = jobs[i];
+            let (task, data) = &tasks[t];
             let report = self.run_da_scenario(mid, data, scenario);
             DaCell {
                 task: task.clone(),
